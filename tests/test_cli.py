@@ -8,8 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from bipancyclic import d8, directed_cycle, serialize
-from bipancyclic.cli import main
+from bipancyclic import (
+    BipartiteDigraph,
+    Theorem,
+    TheoremVerdict,
+    Violation,
+    check_theorem_hypotheses,
+    complete_bipartite,
+    d8,
+    directed_cycle,
+    serialize,
+)
+from bipancyclic import cli
+from bipancyclic.cli import main, render_verdict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,6 +213,60 @@ class TestCertify:
     def test_unknown_theorem_is_usage_error(self, capsys, d8_file):
         rc, _, _ = run_cli(capsys, "certify", "--theorem", "9.9", d8_file)
         assert rc == 64
+
+
+# Not strongly connected, side size 3, and x0/x1 dominate y0 with degree 1
+# each, so the order, connectivity and degree clauses all fail at once.
+NOT_STRONG_A3 = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
+
+CERTIFY_GOLDENS = [
+    # (golden stem, claim, input, exit code)
+    ("1.6-complete-bipartite-4", "1.6", complete_bipartite(4), 0),
+    ("1.7-complete-bipartite-4", "1.7", complete_bipartite(4), 0),
+    ("1.8-directed-cycle-4", "1.8", directed_cycle(4), 0),
+    ("1.8-d8", "1.8", d8(), 0),
+    ("1.10-d8", "1.10", d8(), 0),
+    ("1.8-not-strong-a3", "1.8", NOT_STRONG_A3, 1),
+    ("1.9-not-strong-a3", "1.9", NOT_STRONG_A3, 1),
+]
+
+
+def _violation_verdict():
+    """A hand-built 1.10 verdict carrying a violation (no real input has one)."""
+    return TheoremVerdict(
+        Theorem.T1_10,
+        check_theorem_hypotheses(d8(), Theorem.T1_10),
+        Violation(
+            claim="no cycle of length 8 (even lengths 2..8 claimed);"
+            " not the 8-vertex exception",
+            serialization=serialize(d8()),
+        ),
+    )
+
+
+class TestCertifyGoldens:
+    """certify text and --json, byte for byte, one golden pair per case."""
+
+    @pytest.mark.parametrize(
+        "stem,claim,D,code", CERTIFY_GOLDENS, ids=[c[0] for c in CERTIFY_GOLDENS]
+    )
+    def test_matches_golden(self, capsys, tmp_path, stem, claim, D, code):
+        path = tmp_path / "in.txt"
+        path.write_text(serialize(D))
+        for suffix, extra in (("", ()), ("-json", ("--json",))):
+            rc, out, _ = run_cli(capsys, "certify", "--theorem", claim, str(path), *extra)
+            assert rc == code
+            assert out == (GOLDEN / f"certify-{stem}{suffix}.txt").read_text()
+
+    def test_violation_matches_golden(self, capsys, monkeypatch, d8_file):
+        verdict = _violation_verdict()
+        golden = (GOLDEN / "certify-violation.txt").read_text()
+        assert render_verdict(verdict) + "\n" == golden
+        monkeypatch.setattr(cli, "verify_theorem", lambda D, theorem: verdict)
+        for suffix, extra in (("", ()), ("-json", ("--json",))):
+            rc, out, _ = run_cli(capsys, "certify", "--theorem", "1.10", d8_file, *extra)
+            assert rc == 2
+            assert out == (GOLDEN / f"certify-violation{suffix}.txt").read_text()
 
 
 class TestSearch:
