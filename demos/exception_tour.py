@@ -54,4 +54,4 @@ print()
 for theorem in (Theorem.T1_7, Theorem.T1_10):
     verdict = verify_theorem(D, theorem)
     print(f"claim {theorem.value}: {verdict.outcome} "
-          f"({type(verdict.conclusion).__name__})")
+          f"({verdict.conclusion.kind})")

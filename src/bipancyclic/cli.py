@@ -28,15 +28,9 @@ from .digraph import BipartiteDigraph, Digraph, parse, serialize
 from .errors import DigraphError
 from .families import Family, FamilySpec, generate
 from .verify import (
-    D8Isomorphism,
-    DirectedCycleWitness,
-    HamiltonianWitness,
-    PancyclicCertificate,
     SearchConfig,
     SearchTarget,
     TheoremVerdict,
-    TwoAMinus2Cycle,
-    Violation,
     iso_to_D8,
     run_search,
     verify_theorem,
@@ -275,66 +269,6 @@ def _cmd_cycles(args) -> int:
 # -- certify -------------------------------------------------------------------
 
 
-def _conclusion_lines(conclusion) -> list[str]:
-    if isinstance(conclusion, PancyclicCertificate):
-        lengths = conclusion.lengths()
-        lines = [f"conclusion: cycles of every even length 2..{lengths[-1]}"]
-        lines.extend(f"cycle {m}: {c}" for m, c in conclusion.cycles)
-        return lines
-    if isinstance(conclusion, DirectedCycleWitness):
-        return ["conclusion: the digraph is a directed cycle", f"cycle: {conclusion.cycle}"]
-    if isinstance(conclusion, HamiltonianWitness):
-        return ["conclusion: Hamiltonian", f"cycle: {conclusion.cycle}"]
-    if isinstance(conclusion, TwoAMinus2Cycle):
-        return [
-            f"conclusion: cycle of length {conclusion.cycle.length}",
-            f"cycle: {conclusion.cycle}",
-        ]
-    if isinstance(conclusion, D8Isomorphism):
-        return [
-            "conclusion: isomorphic to the 8-vertex exception",
-            f"mapping: {conclusion.witness.render()}",
-        ]
-    if isinstance(conclusion, Violation):
-        lines = [f"VIOLATION: {conclusion.claim}", "counterexample:"]
-        lines.extend("  " + line for line in conclusion.serialization.splitlines())
-        return lines
-    raise AssertionError(f"unrendered conclusion {conclusion!r}")
-
-
-def _conclusion_json(conclusion) -> dict | None:
-    if conclusion is None:
-        return None
-    if isinstance(conclusion, PancyclicCertificate):
-        return {
-            "kind": "pancyclic-certificate",
-            "cycles": {str(m): str(c) for m, c in conclusion.cycles},
-        }
-    if isinstance(conclusion, DirectedCycleWitness):
-        return {"kind": "directed-cycle", "cycle": str(conclusion.cycle)}
-    if isinstance(conclusion, HamiltonianWitness):
-        return {"kind": "hamiltonian", "cycle": str(conclusion.cycle)}
-    if isinstance(conclusion, TwoAMinus2Cycle):
-        return {
-            "kind": "two-below-full-cycle",
-            "length": conclusion.cycle.length,
-            "cycle": str(conclusion.cycle),
-        }
-    if isinstance(conclusion, D8Isomorphism):
-        return {
-            "kind": "d8-isomorphism",
-            "side_swap": conclusion.witness.side_swap,
-            "mapping": {str(s): str(d) for s, d in conclusion.witness.mapping},
-        }
-    if isinstance(conclusion, Violation):
-        return {
-            "kind": "violation",
-            "claim": conclusion.claim,
-            "counterexample": conclusion.serialization,
-        }
-    raise AssertionError(f"unrendered conclusion {conclusion!r}")
-
-
 def render_verdict(verdict: TheoremVerdict) -> str:
     lines = [f"claim: {verdict.theorem.value}"]
     if verdict.hypotheses.satisfied:
@@ -344,7 +278,7 @@ def render_verdict(verdict: TheoremVerdict) -> str:
         lines.extend(f"  - {f}" for f in verdict.hypotheses.failures)
     lines.append(f"outcome: {verdict.outcome}")
     if verdict.conclusion is not None:
-        lines.extend(_conclusion_lines(verdict.conclusion))
+        lines.extend(verdict.conclusion.lines())
     return "\n".join(lines)
 
 
@@ -364,7 +298,9 @@ def _cmd_certify(args) -> int:
                     "failures": list(verdict.hypotheses.failures),
                 },
                 "outcome": verdict.outcome,
-                "conclusion": _conclusion_json(verdict.conclusion),
+                "conclusion": None
+                if verdict.conclusion is None
+                else verdict.conclusion.to_json(),
             }
         )
     else:

@@ -8,13 +8,15 @@ total degree >= 2a - 2 + k, where a is the side size.  It is monotone in k
 The claim catalog below numbers five statements about strongly connected
 balanced bipartite digraphs; each Theorem member's docstring states its claim
 in full.  check_theorem_hypotheses evaluates every hypothesis clause of one
-claim and reports all failures, not just the first.
+claim and reports all failures, not just the first; hypotheses_hold is the
+short-circuiting test over the same clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .cycles import find_cycle_of_length
 from .digraph import BipartiteDigraph, Digraph, DominatingPair
@@ -40,6 +42,11 @@ class Theorem(Enum):
            has cycles of every even length 2..2a or is the same 8-vertex
            exception as in T1_7.
     """
+
+    # Members are singletons compared by identity, so the identity hash is
+    # exact; it spares the search Enum's Python-level __hash__ on the two
+    # per-sample table lookups (clauses, conclusion routine).
+    __hash__ = object.__hash__
 
     T1_6 = "1.6"
     T1_7 = "1.7"
@@ -163,12 +170,59 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-_MIN_SIDE = {
-    Theorem.T1_6: 1,
-    Theorem.T1_7: 4,
-    Theorem.T1_8: 4,
-    Theorem.T1_9: 4,
-    Theorem.T1_10: 4,
+# A hypothesis clause: a cheap predicate plus a builder for its failure
+# message, which runs only when the predicate fails.
+_Clause = tuple[Callable[[BipartiteDigraph], bool], Callable[[BipartiteDigraph], str]]
+
+
+def _order(min_side: int) -> _Clause:
+    return (
+        lambda D: D.a >= min_side,
+        lambda D: f"order: needs side size >= {min_side}, got {D.a}",
+    )
+
+
+def _bk(k: int) -> _Clause:
+    def explain(D: BipartiteDigraph) -> str:
+        report = check_bk(D, k)
+        assert report.worst_pair is not None
+        return (
+            f"degree condition: B_{k} fails, pair "
+            f"{{{report.worst_pair.u}, {report.worst_pair.v}}} has max degree "
+            f"{report.worst_degree} < {report.threshold}"
+        )
+
+    return (lambda D: bk_holds(D, k), explain)
+
+
+def _explain_two_sided(D: BipartiteDigraph) -> str:
+    _, bad = check_two_sided_condition(D)
+    assert bad is not None
+    return (
+        f"degree condition: pair {{{bad.u}, {bad.v}}} has degrees "
+        f"{D.degree(bad.u).total} and {D.degree(bad.v).total}, "
+        f"needs {2 * D.a - 1} and {D.a + 1} in some order"
+    )
+
+
+_STRONG: _Clause = (Digraph.is_strong, lambda D: "connectivity: not strongly connected")
+_TWO_SIDED: _Clause = (lambda D: check_two_sided_condition(D)[0], _explain_two_sided)
+_PREMISE: _Clause = (
+    lambda D: D.a < 2 or find_cycle_of_length(D, 2 * D.a - 2) is not None,
+    lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
+)
+_NOT_DIRECTED_CYCLE: _Clause = (
+    lambda D: not D.is_directed_cycle(),
+    lambda D: "shape: the digraph is a directed cycle",
+)
+
+# Each claim's hypotheses on a balanced bipartite input, in report order.
+_CLAUSES: dict[Theorem, tuple[_Clause, ...]] = {
+    Theorem.T1_6: (_STRONG, _order(1), _TWO_SIDED),
+    Theorem.T1_7: (_STRONG, _order(4), _bk(1)),
+    Theorem.T1_8: (_STRONG, _order(4), _bk(1)),
+    Theorem.T1_9: (_STRONG, _order(4), _bk(0), _PREMISE),
+    Theorem.T1_10: (_STRONG, _order(4), _bk(1), _NOT_DIRECTED_CYCLE),
 }
 
 
@@ -181,38 +235,19 @@ def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
     cycle of length 2a - 2 (1.9 only), and not being a directed cycle
     (1.10 only).
     """
-    failures: list[str] = []
     if not isinstance(D, BipartiteDigraph):
-        failures.append("structure: not a balanced bipartite digraph")
-        return HypothesisReport(theorem=theorem, failures=tuple(failures))
-    a = D.a
-    if not D.is_strong():
-        failures.append("connectivity: not strongly connected")
-    min_side = _MIN_SIDE[theorem]
-    if a < min_side:
-        failures.append(f"order: needs side size >= {min_side}, got {a}")
-    if theorem is Theorem.T1_6:
-        holds, bad = check_two_sided_condition(D)
-        if not holds:
-            assert bad is not None
-            failures.append(
-                f"degree condition: pair {{{bad.u}, {bad.v}}} has degrees "
-                f"{D.degree(bad.u).total} and {D.degree(bad.v).total}, "
-                f"needs {2 * a - 1} and {a + 1} in some order"
-            )
+        failures: tuple[str, ...] = ("structure: not a balanced bipartite digraph",)
     else:
-        k = 0 if theorem is Theorem.T1_9 else 1
-        report = check_bk(D, k)
-        if not report.holds:
-            assert report.worst_pair is not None
-            failures.append(
-                f"degree condition: B_{k} fails, pair "
-                f"{{{report.worst_pair.u}, {report.worst_pair.v}}} has max degree "
-                f"{report.worst_degree} < {report.threshold}"
-            )
-    if theorem is Theorem.T1_9 and a >= 2:
-        if find_cycle_of_length(D, 2 * a - 2) is None:
-            failures.append(f"cycle premise: no cycle of length {2 * a - 2}")
-    if theorem is Theorem.T1_10 and D.is_directed_cycle():
-        failures.append("shape: the digraph is a directed cycle")
-    return HypothesisReport(theorem=theorem, failures=tuple(failures))
+        failures = tuple(explain(D) for holds, explain in _CLAUSES[theorem] if not holds(D))
+    return HypothesisReport(theorem=theorem, failures=failures)
+
+
+def hypotheses_hold(D: Digraph, theorem: Theorem) -> bool:
+    """check_theorem_hypotheses(D, theorem).satisfied, stopping at the first
+    failing clause and building no messages."""
+    if not isinstance(D, BipartiteDigraph):
+        return False
+    for holds, _ in _CLAUSES[theorem]:
+        if not holds(D):
+            return False
+    return True

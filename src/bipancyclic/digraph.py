@@ -7,7 +7,9 @@ present), which keeps neighborhood intersections, reachability sweeps, and
 the random sampler cheap at the orders this package targets (n <= ~30).
 
 The canonical vertex order is (side letter, index): x0 < x1 < ... < y0 < ...
-All iteration, serialization, and tie-breaking in the package follows it.
+All iteration, serialization, and tie-breaking in the package follows it, and
+it equals ascending index order, so walking a mask's bits upward visits
+vertices in canonical order.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .errors import (
     DuplicateArc,
     Loop,
     ParseError,
-    SideSizeMismatch,
-    TooSmall,
     UnknownVertex,
     WithinSideArc,
 )
@@ -167,15 +167,8 @@ class Digraph:
 
     def arcs(self) -> Iterator[tuple[Vertex, Vertex]]:
         """All arcs in canonical order (tail first, then head)."""
-        order = sorted(range(self.n), key=lambda i: self._vertex(i))
-        for i in order:
-            m = self._out[i]
-            heads = []
-            while m:
-                low = m & -m
-                heads.append(low.bit_length() - 1)
-                m ^= low
-            for j in sorted(heads, key=lambda k: self._vertex(k)):
+        for i in range(self.n):
+            for j in _bits(self._out[i]):
                 yield self._vertex(i), self._vertex(j)
 
     @property
@@ -189,11 +182,11 @@ class Digraph:
 
     def out_neighbors(self, v: VertexLike) -> tuple[Vertex, ...]:
         i = self._index(_as_vertex(v))
-        return tuple(sorted((self._vertex(j) for j in _bits(self._out[i]))))
+        return tuple(self._vertex(j) for j in _bits(self._out[i]))
 
     def in_neighbors(self, v: VertexLike) -> tuple[Vertex, ...]:
         i = self._index(_as_vertex(v))
-        return tuple(sorted((self._vertex(j) for j in _bits(self._in[i]))))
+        return tuple(self._vertex(j) for j in _bits(self._in[i]))
 
     def degree(self, v: VertexLike) -> Degree:
         i = self._index(_as_vertex(v))
@@ -214,27 +207,15 @@ class Digraph:
 
     def dominating_pairs(self) -> list[DominatingPair]:
         """All unordered pairs with a common out-neighbor, lex sorted."""
-        return self._pairs(self._out)
-
-    def pairs_with_common_in_neighbor(self) -> list[DominatingPair]:
-        """Dual query: pairs dominated by a common in-neighbor's arcs.
-
-        Kept separate from dominating_pairs; the degree conditions in this
-        package quantify over common *out*-neighbors only.
-        """
-        return self._pairs(self._in)
-
-    def _pairs(self, masks: Sequence[int]) -> list[DominatingPair]:
-        order = sorted(range(self.n), key=self._vertex)
         found = []
-        for pos_a, i in enumerate(order):
-            mi = masks[i]
+        for i in range(self.n):
+            mi = self._out[i]
             if not mi:
                 continue
-            for j in order[pos_a + 1 :]:
-                common = mi & masks[j]
+            for j in range(i + 1, self.n):
+                common = mi & self._out[j]
                 if common:
-                    w = min(_bits(common), key=self._vertex)
+                    w = (common & -common).bit_length() - 1
                     found.append(DominatingPair(self._vertex(i), self._vertex(j), self._vertex(w)))
         return found
 
@@ -256,24 +237,6 @@ class Digraph:
         if any(m.bit_count() != 1 for m in self._in):
             return False
         return self.is_strong()
-
-    def underlying_two_connected(self) -> bool:
-        """2-connectivity of the underlying undirected graph.
-
-        Raises TooSmall below order 3, where the notion is vacuous.
-        """
-        if self.n < 3:
-            raise TooSmall(f"2-connectivity needs order >= 3, got {self.n}")
-        und = [self._out[i] | self._in[i] for i in range(self.n)]
-        full = (1 << self.n) - 1
-        if _reach(und, 0, full) != full:
-            return False
-        for v in range(self.n):
-            keep = full & ~(1 << v)
-            start = 0 if v != 0 else 1
-            if _reach(und, start, keep) != keep:
-                return False
-        return True
 
     # -- dunder ----------------------------------------------------------------
 
@@ -328,15 +291,6 @@ class BipartiteDigraph(Digraph):
         self = cls._from_masks(2 * a, out)
         self.a = a
         return self
-
-    @classmethod
-    def from_sides(
-        cls, x_count: int, y_count: int, arcs: Iterable[tuple[VertexLike, VertexLike]]
-    ) -> "BipartiteDigraph":
-        """Construct from explicit side sizes; they must be equal."""
-        if x_count != y_count:
-            raise SideSizeMismatch(f"sides must balance, got |X|={x_count}, |Y|={y_count}")
-        return cls(x_count, arcs)
 
     def side_x(self) -> tuple[Vertex, ...]:
         return tuple(Vertex(Side.X, i) for i in range(self.a))

@@ -34,16 +34,8 @@ class UnknownVertex(DigraphError):
     """A vertex name outside the declared vertex set."""
 
 
-class SideSizeMismatch(DigraphError):
-    """Partite sets of unequal size where a balanced host is required."""
-
-
 class ParseError(DigraphError):
     """Malformed header or arc line in the text format."""
-
-
-class TooSmall(DigraphError):
-    """The digraph is below the minimum order for the requested query."""
 
 
 class TooLarge(DigraphError):

@@ -2,11 +2,12 @@
 test, and a seeded randomized counterexample search.
 
 A verdict evaluates one catalog claim (see conditions.Theorem) on one input:
-it reports which hypothesis clauses fail, and when they all hold it either
-produces a checkable conclusion witness or a Violation.  A Violation is a
-reproducible counterexample package (claim text plus the digraph's canonical
-serialization); for the claims shipped here none is expected to ever appear,
-and the test suite treats one as a loud failure.
+it reports which hypothesis clauses fail, and when they all hold it runs the
+claim's conclusion routine, which returns one Conclusion: a checkable witness
+or a violation.  A violation is a reproducible counterexample package (claim
+text plus the digraph's canonical serialization); for the claims shipped here
+none is expected to ever appear, and the test suite treats one as a loud
+failure.
 
 The search harness samples seeded random digraphs over an (a, p) grid,
 filters to hypothesis-satisfying ones, and replays the selected claim on
@@ -18,16 +19,24 @@ count or platform.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import permutations
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .conditions import HypothesisReport, Theorem, bk_holds, check_theorem_hypotheses
+from .conditions import (
+    HypothesisReport,
+    Theorem,
+    bk_holds,
+    check_theorem_hypotheses,
+    hypotheses_hold,
+)
 from .cycles import (
     Cycle,
     cycles_through_vertex,
@@ -46,40 +55,7 @@ from .errors import BadConfig, WitnessNotFound
 from . import families
 
 
-# -- conclusion witnesses ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PancyclicCertificate:
-    """One validated witness cycle per even length, ascending."""
-
-    cycles: tuple[tuple[int, Cycle], ...]
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.cycles)
-
-    def witness(self, m: int) -> Cycle | None:
-        for length, cycle in self.cycles:
-            if length == m:
-                return cycle
-        return None
-
-
-@dataclass(frozen=True)
-class DirectedCycleWitness:
-    cycle: Cycle
-
-
-@dataclass(frozen=True)
-class HamiltonianWitness:
-    cycle: Cycle
-
-
-@dataclass(frozen=True)
-class TwoAMinus2Cycle:
-    """A cycle exactly two vertices short of Hamiltonian."""
-
-    cycle: Cycle
+# -- conclusions -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -107,19 +83,69 @@ class IsomorphismWitness:
 
 
 @dataclass(frozen=True)
-class D8Isomorphism:
-    witness: IsomorphismWitness
+class Conclusion:
+    """What a verdict concludes once a claim's hypotheses hold.
 
+    kind is the tag the JSON output carries:
+      pancyclic-certificate  cycles holds one witness per even length, ascending;
+      hamiltonian, directed-cycle, two-below-full-cycle
+                             cycles holds the single witness;
+      d8-isomorphism         isomorphism maps the input onto the exception;
+      violation              claim names what failed and serialization is the
+                             input, a reproducible counterexample package.
+    """
 
-@dataclass(frozen=True)
-class Violation:
-    """A checked counterexample: the failed claim plus the exact input."""
+    kind: str
+    cycles: tuple[tuple[int, Cycle], ...] = ()
+    isomorphism: IsomorphismWitness | None = None
+    claim: str = ""
+    serialization: str = ""
 
-    claim: str
-    serialization: str
+    @property
+    def cycle(self) -> Cycle:
+        """The witness of a single-cycle conclusion."""
+        return self.cycles[0][1]
 
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(m for m, _ in self.cycles)
 
-Conclusion = object  # union of the six conclusion dataclasses above
+    def lines(self) -> list[str]:
+        """The conclusion's lines of certify's text output."""
+        if self.kind == "pancyclic-certificate":
+            lines = [f"conclusion: cycles of every even length 2..{self.lengths()[-1]}"]
+            return lines + [f"cycle {m}: {c}" for m, c in self.cycles]
+        if self.kind == "d8-isomorphism":
+            assert self.isomorphism is not None
+            return [
+                "conclusion: isomorphic to the 8-vertex exception",
+                f"mapping: {self.isomorphism.render()}",
+            ]
+        if self.kind == "violation":
+            lines = [f"VIOLATION: {self.claim}", "counterexample:"]
+            return lines + ["  " + line for line in self.serialization.splitlines()]
+        headline = {
+            "hamiltonian": "Hamiltonian",
+            "directed-cycle": "the digraph is a directed cycle",
+        }.get(self.kind, f"cycle of length {self.cycle.length}")
+        return [f"conclusion: {headline}", f"cycle: {self.cycle}"]
+
+    def to_json(self) -> dict:
+        """The conclusion object of certify's JSON output."""
+        if self.kind == "pancyclic-certificate":
+            return {"kind": self.kind, "cycles": {str(m): str(c) for m, c in self.cycles}}
+        if self.kind == "d8-isomorphism":
+            assert self.isomorphism is not None
+            return {
+                "kind": self.kind,
+                "side_swap": self.isomorphism.side_swap,
+                "mapping": {str(s): str(d) for s, d in self.isomorphism.mapping},
+            }
+        if self.kind == "violation":
+            return {"kind": self.kind, "claim": self.claim, "counterexample": self.serialization}
+        payload = {"kind": self.kind, "cycle": str(self.cycle)}
+        if self.kind == "two-below-full-cycle":
+            payload["length"] = self.cycle.length
+        return payload
 
 
 @dataclass(frozen=True)
@@ -134,117 +160,83 @@ class TheoremVerdict:
     def outcome(self) -> str:
         if not self.hypotheses.satisfied:
             return "hypotheses-not-met"
-        if isinstance(self.conclusion, Violation):
+        assert self.conclusion is not None
+        if self.conclusion.kind == "violation":
             return "violation"
         return "conclusion"
 
 
-def _certificate(D: BipartiteDigraph, top: int) -> PancyclicCertificate | Violation:
+def _single(kind: str, cycle: Cycle) -> Conclusion:
+    return Conclusion(kind, cycles=((cycle.length, cycle),))
+
+
+def _violation(claim: str, D: Digraph) -> Conclusion:
+    return Conclusion("violation", claim=claim, serialization=serialize(D))
+
+
+def _d8_or_violation(D: BipartiteDigraph, claim: str) -> Conclusion:
+    witness = iso_to_D8(D)
+    if witness is not None:
+        return Conclusion("d8-isomorphism", isomorphism=witness)
+    return _violation(claim, D)
+
+
+def _certificate(D: BipartiteDigraph, top: int) -> Conclusion:
     """Witness every even length 2..top or report the first missing one."""
     witnesses = []
     for m in range(2, top + 1, 2):
         cycle = find_cycle_of_length(D, m)
         if cycle is None:
-            return Violation(
-                claim=f"no cycle of length {m} (even lengths 2..{top} claimed)",
-                serialization=serialize(D),
-            )
+            return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)", D)
         witnesses.append((m, cycle))
-    return PancyclicCertificate(tuple(witnesses))
+    return Conclusion("pancyclic-certificate", cycles=tuple(witnesses))
 
 
-def verify_theorem_1_6(D: Digraph) -> TheoremVerdict:
-    """Two-sided degree condition forces cycles of every even length 2..2a."""
-    hyp = check_theorem_hypotheses(D, Theorem.T1_6)
-    if not hyp.satisfied:
-        return TheoremVerdict(Theorem.T1_6, hyp, None)
-    return TheoremVerdict(Theorem.T1_6, hyp, _certificate(D, 2 * D.a))
-
-
-def verify_theorem_1_7(D: Digraph) -> TheoremVerdict:
-    """Margin-1 condition forces a Hamiltonian cycle or the 8-vertex
-    exception."""
-    hyp = check_theorem_hypotheses(D, Theorem.T1_7)
-    if not hyp.satisfied:
-        return TheoremVerdict(Theorem.T1_7, hyp, None)
+def _conclude_1_7(D: BipartiteDigraph) -> Conclusion:
+    """Hamiltonian, or the 8-vertex exception."""
     ham = find_cycle_of_length(D, D.n)
     if ham is not None:
-        return TheoremVerdict(Theorem.T1_7, hyp, HamiltonianWitness(ham))
-    witness = iso_to_D8(D)
-    if witness is not None:
-        return TheoremVerdict(Theorem.T1_7, hyp, D8Isomorphism(witness))
-    return TheoremVerdict(
-        Theorem.T1_7,
-        hyp,
-        Violation(
-            claim="not Hamiltonian and not the 8-vertex exception",
-            serialization=serialize(D),
-        ),
-    )
+        return _single("hamiltonian", ham)
+    return _d8_or_violation(D, "not Hamiltonian and not the 8-vertex exception")
 
 
-def verify_theorem_1_8(D: Digraph) -> TheoremVerdict:
-    """Margin-1 condition forces a cycle two short of Hamiltonian, except on
-    the directed cycle."""
-    hyp = check_theorem_hypotheses(D, Theorem.T1_8)
-    if not hyp.satisfied:
-        return TheoremVerdict(Theorem.T1_8, hyp, None)
+def _conclude_1_8(D: BipartiteDigraph) -> Conclusion:
+    """A cycle two short of Hamiltonian, or the directed cycle itself."""
     if D.is_directed_cycle():
         cycle = find_cycle_of_length(D, D.n)
         assert cycle is not None
-        return TheoremVerdict(Theorem.T1_8, hyp, DirectedCycleWitness(cycle))
+        return _single("directed-cycle", cycle)
     cycle = find_cycle_of_length(D, 2 * D.a - 2)
     if cycle is not None:
-        return TheoremVerdict(Theorem.T1_8, hyp, TwoAMinus2Cycle(cycle))
-    return TheoremVerdict(
-        Theorem.T1_8,
-        hyp,
-        Violation(
-            claim=f"no cycle of length {2 * D.a - 2} and not a directed cycle",
-            serialization=serialize(D),
-        ),
-    )
+        return _single("two-below-full-cycle", cycle)
+    return _violation(f"no cycle of length {2 * D.a - 2} and not a directed cycle", D)
 
 
-def verify_theorem_1_9(D: Digraph) -> TheoremVerdict:
-    """Margin-0 condition plus a cycle two short of Hamiltonian force cycles
-    of every even length up to that."""
-    hyp = check_theorem_hypotheses(D, Theorem.T1_9)
-    if not hyp.satisfied:
-        return TheoremVerdict(Theorem.T1_9, hyp, None)
-    return TheoremVerdict(Theorem.T1_9, hyp, _certificate(D, 2 * D.a - 2))
-
-
-def verify_theorem_1_10(D: Digraph) -> TheoremVerdict:
-    """Margin-1 condition forces even pancyclicity or the 8-vertex exception
-    (directed cycles excluded by hypothesis)."""
-    hyp = check_theorem_hypotheses(D, Theorem.T1_10)
-    if not hyp.satisfied:
-        return TheoremVerdict(Theorem.T1_10, hyp, None)
+def _conclude_1_10(D: BipartiteDigraph) -> Conclusion:
+    """Even pancyclic, or the 8-vertex exception."""
     conclusion = _certificate(D, 2 * D.a)
-    if isinstance(conclusion, Violation):
-        witness = iso_to_D8(D)
-        if witness is not None:
-            return TheoremVerdict(Theorem.T1_10, hyp, D8Isomorphism(witness))
-        conclusion = Violation(
-            claim=conclusion.claim + "; not the 8-vertex exception",
-            serialization=conclusion.serialization,
-        )
-    return TheoremVerdict(Theorem.T1_10, hyp, conclusion)
+    if conclusion.kind != "violation":
+        return conclusion
+    return _d8_or_violation(D, conclusion.claim + "; not the 8-vertex exception")
 
 
-_VERIFIERS: dict[Theorem, Callable[[Digraph], TheoremVerdict]] = {
-    Theorem.T1_6: verify_theorem_1_6,
-    Theorem.T1_7: verify_theorem_1_7,
-    Theorem.T1_8: verify_theorem_1_8,
-    Theorem.T1_9: verify_theorem_1_9,
-    Theorem.T1_10: verify_theorem_1_10,
+# Each claim's conclusion routine, run only on inputs that meet its hypotheses.
+_CONCLUSIONS: dict[Theorem, Callable[[BipartiteDigraph], Conclusion]] = {
+    Theorem.T1_6: lambda D: _certificate(D, 2 * D.a),
+    Theorem.T1_7: _conclude_1_7,
+    Theorem.T1_8: _conclude_1_8,
+    Theorem.T1_9: lambda D: _certificate(D, 2 * D.a - 2),
+    Theorem.T1_10: _conclude_1_10,
 }
 
 
 def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
-    """Dispatch to the verifier for one catalog claim."""
-    return _VERIFIERS[theorem](D)
+    """Check one catalog claim's hypotheses and, when they hold, its conclusion."""
+    hyp = check_theorem_hypotheses(D, theorem)
+    if not hyp.satisfied:
+        return TheoremVerdict(theorem, hyp, None)
+    assert isinstance(D, BipartiteDigraph)
+    return TheoremVerdict(theorem, hyp, _CONCLUSIONS[theorem](D))
 
 
 # -- isomorphism to the 8-vertex exception ----------------------------------------
@@ -450,42 +442,17 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
     return _sample(a, p, random.Random(sample_seed(seed, a, p, index)))
 
 
-# Per-target evaluation: returns (satisfying units, violation claims).  The
-# hypothesis prefilters must agree exactly with check_theorem_hypotheses for
-# the theorem targets; the test suite cross-checks that.
+# Per-target evaluation: returns (satisfying units, violation claims).  A
+# catalog-claim target tests the hypotheses with the same clauses certify
+# reports on, then runs the same conclusion routine certify runs.
 
 
-def _eval_t1_8(D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if D.a < 4 or not D.is_strong() or not bk_holds(D, 1):
+def _eval_claim(theorem: Theorem, D: BipartiteDigraph) -> tuple[int, list[str]]:
+    if not hypotheses_hold(D, theorem):
         return 0, []
-    if D.is_directed_cycle():
-        return 1, []
-    if find_cycle_of_length(D, 2 * D.a - 2) is not None:
-        return 1, []
-    return 1, [f"claim 1.8: no cycle of length {2 * D.a - 2} and not a directed cycle"]
-
-
-def _eval_t1_9(D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if D.a < 4 or not D.is_strong() or not bk_holds(D, 0):
-        return 0, []
-    if find_cycle_of_length(D, 2 * D.a - 2) is None:
-        return 0, []
-    missing = [
-        m for m in range(2, 2 * D.a - 1, 2) if find_cycle_of_length(D, m) is None
-    ]
-    return 1, [f"claim 1.9: no cycle of length {m}" for m in missing]
-
-
-def _eval_t1_10(D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if D.a < 4 or not D.is_strong() or not bk_holds(D, 1):
-        return 0, []
-    if D.is_directed_cycle():
-        return 0, []
-    for m in range(2, 2 * D.a + 1, 2):
-        if find_cycle_of_length(D, m) is None:
-            if iso_to_D8(D) is not None:
-                return 1, []
-            return 1, [f"claim 1.10: no cycle of length {m} and not the 8-vertex exception"]
+    conclusion = _CONCLUSIONS[theorem](D)
+    if conclusion.kind == "violation":
+        return 1, [f"claim {theorem.value}: {conclusion.claim}"]
     return 1, []
 
 
@@ -538,9 +505,9 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
 
 
 _EVALUATORS: dict[SearchTarget, Callable[[BipartiteDigraph], tuple[int, list[str]]]] = {
-    SearchTarget.T1_8: _eval_t1_8,
-    SearchTarget.T1_9: _eval_t1_9,
-    SearchTarget.T1_10: _eval_t1_10,
+    SearchTarget.T1_8: partial(_eval_claim, Theorem.T1_8),
+    SearchTarget.T1_9: partial(_eval_claim, Theorem.T1_9),
+    SearchTarget.T1_10: partial(_eval_claim, Theorem.T1_10),
     SearchTarget.L3_2: _eval_l3_2,
     SearchTarget.L3_3: _eval_l3_3,
     SearchTarget.L3_4: _eval_l3_4,
@@ -587,7 +554,10 @@ def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
         for p in config.p_values
         for start in range(0, config.samples, _BLOCK)
     ]
-    if workers == 1 or len(blocks) <= 1:
+    # More processes than blocks or cores cannot help, and a pool forks all
+    # of its workers up front.
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [
             _run_block(config.target.value, a, p, config.seed, start, stop)
             for a, p, start, stop in blocks

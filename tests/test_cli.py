@@ -10,9 +10,9 @@ import pytest
 
 from bipancyclic import (
     BipartiteDigraph,
+    Conclusion,
     Theorem,
     TheoremVerdict,
-    Violation,
     check_theorem_hypotheses,
     complete_bipartite,
     d8,
@@ -236,7 +236,8 @@ def _violation_verdict():
     return TheoremVerdict(
         Theorem.T1_10,
         check_theorem_hypotheses(d8(), Theorem.T1_10),
-        Violation(
+        Conclusion(
+            "violation",
             claim="no cycle of length 8 (even lengths 2..8 claimed);"
             " not the 8-vertex exception",
             serialization=serialize(d8()),

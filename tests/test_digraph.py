@@ -20,8 +20,6 @@ from bipancyclic.errors import (
     DuplicateArc,
     Loop,
     ParseError,
-    SideSizeMismatch,
-    TooSmall,
     UnknownVertex,
     WithinSideArc,
 )
@@ -94,12 +92,6 @@ class TestConstruction:
         with pytest.raises(UnknownVertex):
             Digraph(2, [("v0", "x1")])
 
-    def test_side_size_mismatch(self):
-        with pytest.raises(SideSizeMismatch):
-            BipartiteDigraph.from_sides(2, 3, [])
-        D = BipartiteDigraph.from_sides(2, 2, [("x0", "y0")])
-        assert D.a == 2
-
     def test_negative_order(self):
         with pytest.raises(BadParams):
             Digraph(-1, [])
@@ -140,13 +132,6 @@ class TestQueries:
             ("y1", "y3", "x3"),
         ]
 
-    def test_in_neighbor_pairs_are_the_dual(self):
-        D = BipartiteDigraph(2, [("x0", "y0"), ("x1", "y0"), ("y1", "x0")])
-        out_pairs = D.dominating_pairs()
-        in_pairs = D.pairs_with_common_in_neighbor()
-        assert [(str(p.u), str(p.v)) for p in out_pairs] == [("x0", "x1")]
-        assert in_pairs == []
-
     def test_restricted_degree_on_d8(self):
         D = d8()
         assert D.restricted_degree("y0", ["x2", "x3"]) == 4
@@ -159,14 +144,6 @@ class TestQueries:
         assert not d8().is_directed_cycle()
         two = BipartiteDigraph(1, [("x0", "y0"), ("y0", "x0")])
         assert two.is_directed_cycle()
-
-    def test_underlying_two_connected(self):
-        assert d8().underlying_two_connected()
-        assert directed_cycle(4).underlying_two_connected()
-        path = Digraph(3, [("v0", "v1"), ("v1", "v2")])
-        assert not path.underlying_two_connected()
-        with pytest.raises(TooSmall):
-            BipartiteDigraph(1, [("x0", "y0")]).underlying_two_connected()
 
     def test_arcs_canonical_order(self):
         D = BipartiteDigraph(2, [("y1", "x0"), ("x0", "y1"), ("x0", "y0")])

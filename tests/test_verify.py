@@ -1,6 +1,7 @@
 """Theorem verdicts, the 8-vertex-exception recognizer, and the search harness."""
 
 import random
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -8,22 +9,18 @@ from hypothesis import strategies as st
 
 from bipancyclic import (
     BipartiteDigraph,
-    D8Isomorphism,
+    Conclusion,
     Digraph,
-    DirectedCycleWitness,
-    HamiltonianWitness,
-    PancyclicCertificate,
     SearchConfig,
     SearchTarget,
     Theorem,
     TheoremVerdict,
-    TwoAMinus2Cycle,
-    Violation,
     check_cycle,
     check_theorem_hypotheses,
     complete_bipartite,
     d8,
     directed_cycle,
+    hypotheses_hold,
     iso_to_D8,
     run_search,
     sample_digraph,
@@ -35,7 +32,8 @@ from bipancyclic import (
 )
 from bipancyclic.errors import BadConfig
 from bipancyclic.naive import naive_isomorphism
-from bipancyclic.verify import _EVALUATORS, _certificate
+from bipancyclic import verify
+from bipancyclic.verify import _certificate
 
 from test_digraph import bipartite_digraphs
 
@@ -46,7 +44,7 @@ class TestVerdicts:
     def test_1_6_complete(self):
         v = verify_theorem(complete_bipartite(4), Theorem.T1_6)
         assert v.outcome == "conclusion"
-        assert isinstance(v.conclusion, PancyclicCertificate)
+        assert v.conclusion.kind == "pancyclic-certificate"
         assert v.conclusion.lengths() == (2, 4, 6, 8)
 
     def test_1_6_d8_misses_hypotheses(self):
@@ -55,26 +53,26 @@ class TestVerdicts:
 
     def test_1_7_d8_is_the_exception(self):
         v = verify_theorem(d8(), Theorem.T1_7)
-        assert isinstance(v.conclusion, D8Isomorphism)
+        assert v.conclusion.kind == "d8-isomorphism"
 
     def test_1_7_complete_is_hamiltonian(self):
         v = verify_theorem(complete_bipartite(4), Theorem.T1_7)
-        assert isinstance(v.conclusion, HamiltonianWitness)
+        assert v.conclusion.kind == "hamiltonian"
         assert v.conclusion.cycle.length == 8
 
     def test_1_8_directed_cycle(self):
         v = verify_theorem(directed_cycle(4), Theorem.T1_8)
-        assert isinstance(v.conclusion, DirectedCycleWitness)
+        assert v.conclusion.kind == "directed-cycle"
         assert v.conclusion.cycle.length == 8
 
     def test_1_8_d8(self):
         v = verify_theorem(d8(), Theorem.T1_8)
-        assert isinstance(v.conclusion, TwoAMinus2Cycle)
+        assert v.conclusion.kind == "two-below-full-cycle"
         assert str(v.conclusion.cycle) == "x0 y0 x2 y3 x3 y1"
 
     def test_1_9_d8(self):
         v = verify_theorem(d8(), Theorem.T1_9)
-        assert isinstance(v.conclusion, PancyclicCertificate)
+        assert v.conclusion.kind == "pancyclic-certificate"
         assert v.conclusion.lengths() == (2, 4, 6)
 
     def test_1_9_directed_cycle_misses_premise(self):
@@ -84,7 +82,7 @@ class TestVerdicts:
 
     def test_1_10_d8(self):
         v = verify_theorem(d8(), Theorem.T1_10)
-        assert isinstance(v.conclusion, D8Isomorphism)
+        assert v.conclusion.kind == "d8-isomorphism"
 
     def test_1_10_directed_cycle_excluded(self):
         v = verify_theorem(directed_cycle(4), Theorem.T1_10)
@@ -92,18 +90,18 @@ class TestVerdicts:
 
     def test_1_10_complete(self):
         v = verify_theorem(complete_bipartite(4), Theorem.T1_10)
-        assert isinstance(v.conclusion, PancyclicCertificate)
+        assert v.conclusion.kind == "pancyclic-certificate"
         assert v.conclusion.lengths() == (2, 4, 6, 8)
-        assert v.conclusion.witness(6) is not None
+        assert dict(v.conclusion.cycles)[6].length == 6
 
     def test_outcome_mapping(self):
         hyp = check_theorem_hypotheses(d8(), Theorem.T1_10)
-        bad = Violation(claim="x", serialization="y")
+        bad = Conclusion("violation", claim="x", serialization="y")
         assert TheoremVerdict(Theorem.T1_10, hyp, bad).outcome == "violation"
 
     def test_certificate_violation_path(self):
         out = _certificate(directed_cycle(4), 8)
-        assert isinstance(out, Violation)
+        assert out.kind == "violation"
         assert out.claim == "no cycle of length 2 (even lengths 2..8 claimed)"
 
     @settings(max_examples=40)
@@ -114,7 +112,7 @@ class TestVerdicts:
         assert v.outcome in ("conclusion", "hypotheses-not-met")
         if v.outcome == "hypotheses-not-met":
             assert v.hypotheses.failures
-        elif isinstance(v.conclusion, PancyclicCertificate):
+        elif v.conclusion.kind == "pancyclic-certificate":
             for m, cycle in v.conclusion.cycles:
                 assert cycle.length == m
                 check_cycle(D, cycle)
@@ -282,12 +280,62 @@ class TestSearch:
         ],
     )
     def test_prefilter_matches_hypotheses(self, target, theorem):
-        evaluate = _EVALUATORS[target]
-        for i in range(300):
-            D = sample_digraph(1, 4, 0.7, i)
-            units, claims = evaluate(D)
-            assert claims == []
-            assert units == int(check_theorem_hypotheses(D, theorem).satisfied)
+        # the search's per-cell counts are exactly what certify concludes
+        config = SearchConfig(target, a_values=(4, 5), p_values=(0.7, 0.9), samples=60, seed=1)
+        report = run_search(config)
+        for cell in report.cells:
+            verdicts = [
+                verify_theorem(sample_digraph(config.seed, cell.a, cell.p, i), theorem)
+                for i in range(config.samples)
+            ]
+            assert cell.satisfying == sum(v.outcome != "hypotheses-not-met" for v in verdicts)
+            assert cell.violations == sum(v.outcome == "violation" for v in verdicts) == 0
+        assert report.hypothesis_satisfying > 0
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_hypotheses_hold_matches_report(self, theorem):
+        digraphs = [
+            sample_digraph(2, a, p, i)
+            for a in (3, 4, 5)
+            for p in (0.7, 0.9)
+            for i in range(100)
+        ]
+        digraphs.append(Digraph(3, [("v0", "v1"), ("v1", "v2"), ("v2", "v0")]))
+        satisfied = 0
+        for D in digraphs:
+            report = check_theorem_hypotheses(D, theorem)
+            assert hypotheses_hold(D, theorem) == report.satisfied
+            satisfied += report.satisfied
+        assert 0 < satisfied < len(digraphs)
+
+    def test_workers_clamped_before_pool_starts(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Runs submitted calls in-process and records the requested size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        report = run_search(self.CONFIG, workers=100_000)
+        assert started == [2]  # 600 samples make two blocks
+        assert report.render() == run_search(self.CONFIG).render()
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        run_search(self.CONFIG, workers=100_000)
+        assert started == [2]  # one usable core: no pool at all
 
     def test_lemma_targets_run_clean(self):
         for target in (SearchTarget.L3_2, SearchTarget.L3_3, SearchTarget.L3_4):
