@@ -162,13 +162,6 @@ class HypothesisReport:
     def satisfied(self) -> bool:
         return not self.failures
 
-    def render(self) -> str:
-        if self.satisfied:
-            return f"claim {self.theorem.value}: hypotheses satisfied"
-        lines = [f"claim {self.theorem.value}: hypotheses NOT satisfied"]
-        lines.extend(f"  - {f}" for f in self.failures)
-        return "\n".join(lines)
-
 
 # A hypothesis clause: a cheap predicate plus a builder for its failure
 # message, which runs only when the predicate fails.

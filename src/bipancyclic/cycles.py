@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex
+from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex, _reach
 from .errors import BadLength, InvalidCycle, PreconditionUnmet, TooLarge, WitnessNotFound
 
 DEFAULT_MAX_ORDER = 24
@@ -87,12 +87,6 @@ class CycleSpectrum:
     def lengths(self) -> tuple[int, ...]:
         return tuple(m for m, _ in self.witnesses)
 
-    def witness(self, m: int) -> Cycle | None:
-        for length, cycle in self.witnesses:
-            if length == m:
-                return cycle
-        return None
-
     def is_even_pancyclic(self) -> bool:
         """True iff every even length 2..2a is achieved (bipartite host only)."""
         if self.side_size is None:
@@ -127,14 +121,6 @@ def check_cycle(D: Digraph, vertices: Sequence[VertexLike]) -> Cycle:
         if not D.has_arc(u, w):
             raise InvalidCycle(f"missing arc {u} {w}")
     return Cycle(vs)
-
-
-def is_valid_cycle(D: Digraph, vertices: Sequence[VertexLike]) -> bool:
-    try:
-        check_cycle(D, vertices)
-    except Exception:
-        return False
-    return True
 
 
 def check_path(D: Digraph, vertices: Sequence[VertexLike]) -> PathWitness:
@@ -178,22 +164,6 @@ def _reach_within(out: Sequence[int], src: int, target_bit: int, allowed: int, s
     return False
 
 
-def _reach_set(masks: Sequence[int], src: int, allowed: int) -> int:
-    """Vertices of ``allowed`` reachable from src through allowed vertices."""
-    seen = 0
-    frontier = 1 << src
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
 def _lex_min_cycle_from(
     out: Sequence[int],
     inn: Sequence[int],
@@ -230,9 +200,9 @@ def _lex_min_cycle_from(
             if not _reach_within(out, w, start_bit, free, remaining):
                 continue
             if require_cover and remaining > 1:
-                if _reach_set(out, w, free) & free != free:
+                if _reach(out, w, free) & free != free:
                     continue
-                if _reach_set(inn, start, free) & free != free:
+                if _reach(inn, start, free) & free != free:
                     continue
             path.append(w)
             used |= low

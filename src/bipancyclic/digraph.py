@@ -29,33 +29,28 @@ from .errors import (
     WithinSideArc,
 )
 
+# Largest order accepted from outside input (text headers, family sizes):
+# ten times the exhaustive spectrum scan's cap, and far below any size whose
+# adjacency allocation could exhaust memory.
+MAX_INPUT_ORDER = 256
 
-class Side(Enum):
+
+class Side(str, Enum):
     X = "x"
     Y = "y"
     GENERAL = "v"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Vertex:
-    """A named vertex; ordering is (side letter, index)."""
+    """A named vertex; ordering is (side letter, index).
+
+    Side compares by its letter, so a Vertex sorts exactly like its name:
+    x* < y*, and v* sorts alone in general digraphs.
+    """
 
     side: Side
     index: int
-
-    # Comparisons go by (side letter, index) so a Vertex sorts exactly like
-    # its name: x* < y*, and v* sorts alone in general digraphs.
-    def __lt__(self, other: "Vertex") -> bool:
-        return (self.side.value, self.index) < (other.side.value, other.index)
-
-    def __le__(self, other: "Vertex") -> bool:
-        return (self.side.value, self.index) <= (other.side.value, other.index)
-
-    def __gt__(self, other: "Vertex") -> bool:
-        return (self.side.value, self.index) > (other.side.value, other.index)
-
-    def __ge__(self, other: "Vertex") -> bool:
-        return (self.side.value, self.index) >= (other.side.value, other.index)
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
@@ -118,13 +113,14 @@ class Digraph:
         out = [0] * n
         inn = [0] * n
         for tail, head in arcs:
-            t = self._index(_as_vertex(tail))
-            h = self._index(_as_vertex(head))
-            self._check_sides(_as_vertex(tail), _as_vertex(head))
+            tail, head = _as_vertex(tail), _as_vertex(head)
+            t = self._index(tail)
+            h = self._index(head)
+            self._check_sides(tail, head)
             if t == h:
-                raise Loop(f"loop at {self._vertex(t)}")
+                raise Loop(f"loop at {tail}")
             if out[t] >> h & 1:
-                raise DuplicateArc(f"duplicate arc {self._vertex(t)} {self._vertex(h)}")
+                raise DuplicateArc(f"duplicate arc {tail} {head}")
             out[t] |= 1 << h
             inn[h] |= 1 << t
         self._out = tuple(out)
@@ -142,23 +138,6 @@ class Digraph:
 
     def _check_sides(self, tail: Vertex, head: Vertex) -> None:
         pass  # no side structure in a general digraph
-
-    # -- construction from trusted masks ----------------------------------
-
-    @classmethod
-    def _from_masks(cls, n: int, out: Sequence[int]) -> "Digraph":
-        """Wrap already-validated adjacency masks without rechecking."""
-        self = cls.__new__(cls)
-        self.n = n
-        self._out = tuple(out)
-        inn = [0] * n
-        for i, m in enumerate(self._out):
-            while m:
-                low = m & -m
-                inn[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        self._in = tuple(inn)
-        return self
 
     # -- basic queries -----------------------------------------------------
 
@@ -288,15 +267,18 @@ class BipartiteDigraph(Digraph):
     @classmethod
     def _from_out_masks(cls, a: int, out: Sequence[int]) -> "BipartiteDigraph":
         """Trusted fast path for the sampler: masks must already be cross-side."""
-        self = cls._from_masks(2 * a, out)
+        self = cls.__new__(cls)
         self.a = a
+        self.n = n = 2 * a
+        self._out = tuple(out)
+        inn = [0] * n
+        for i, m in enumerate(out):
+            while m:
+                low = m & -m
+                inn[low.bit_length() - 1] |= 1 << i
+                m ^= low
+        self._in = tuple(inn)
         return self
-
-    def side_x(self) -> tuple[Vertex, ...]:
-        return tuple(Vertex(Side.X, i) for i in range(self.a))
-
-    def side_y(self) -> tuple[Vertex, ...]:
-        return tuple(Vertex(Side.Y, i) for i in range(self.a))
 
     def __repr__(self) -> str:
         return f"BipartiteDigraph(a={self.a}, arcs={self.arc_count})"
@@ -312,15 +294,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _reach(masks: Sequence[int], start: int, allowed: int) -> int:
-    """Bitmask of vertices reachable from start inside ``allowed`` (incl. start).
-
-    Returns 0 if start itself is not allowed.
-    """
-    if not allowed >> start & 1:
-        return 0
-    seen = 1 << start
-    frontier = seen
+def _reach(masks: Sequence[int], src: int, allowed: int) -> int:
+    """Bitmask of src plus every vertex it reaches through ``allowed`` ones."""
+    seen = frontier = 1 << src
     while frontier:
         nxt = 0
         m = frontier
@@ -350,60 +326,62 @@ def serialize(D: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADERS = {"bipartite a": (BipartiteDigraph, 2), "general n": (Digraph, 1)}
+
+
 def parse(text: str) -> Digraph:
     """Parse the canonical text form; inverse of serialize up to arc order.
 
     Blank lines and ``#`` comment lines are ignored.  Raises ParseError (or a
     more specific construction error) carrying the offending line number.
+    A header declaring more than MAX_INPUT_ORDER vertices is a ParseError.
     """
-    header: tuple[str, int] | None = None
-    arcs: list[tuple[Vertex, Vertex]] = []
-    arc_lines: list[int] = []
+    header: tuple[type[Digraph], int] | None = None
+    arcs: list[tuple[int, Vertex, Vertex]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
             kind, _, size = line.partition("=")
-            if kind == "bipartite a" and size.isdigit():
-                header = ("bipartite", int(size))
-            elif kind == "general n" and size.isdigit():
-                header = ("general", int(size))
-            else:
+            if kind not in _HEADERS or not size.isdecimal():
                 raise ParseError(
                     f"expected 'bipartite a=<int>' or 'general n=<int>', got {line!r}",
                     line=lineno,
                 )
+            cls, per_unit = _HEADERS[kind]
+            # count digits before int() so a huge header costs nothing
+            size = size.lstrip("0") or "0"
+            if len(size) > len(str(MAX_INPUT_ORDER)) or per_unit * int(size) > MAX_INPUT_ORDER:
+                raise ParseError(
+                    f"order exceeds the cap of {MAX_INPUT_ORDER} vertices", line=lineno
+                )
+            header = (cls, int(size))
             continue
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected 'tail head', got {line!r}", line=lineno)
         try:
-            arcs.append((Vertex.parse(tokens[0]), Vertex.parse(tokens[1])))
+            arcs.append((lineno, Vertex.parse(tokens[0]), Vertex.parse(tokens[1])))
         except UnknownVertex as exc:
             raise ParseError(str(exc), line=lineno) from None
-        arc_lines.append(lineno)
     if header is None:
         raise ParseError("missing header line", line=max(1, len(text.splitlines())))
-    kind, size = header
 
-    host = BipartiteDigraph(size, []) if kind == "bipartite" else Digraph(size, [])
-    out = [0] * host.n
-    for (tail, head), lineno in zip(arcs, arc_lines):
-        try:
-            t = host._index(tail)
-            h = host._index(head)
-            host._check_sides(tail, head)
-            if t == h:
-                raise Loop(f"loop at {tail}")
-            if out[t] >> h & 1:
-                raise DuplicateArc(f"duplicate arc {tail} {head}")
-        except DigraphError as exc:
-            raise type(exc)(str(exc), line=lineno) from None
-        out[t] |= 1 << h
-    if kind == "bipartite":
-        return BipartiteDigraph._from_out_masks(size, out)
-    return Digraph._from_masks(host.n, out)
+    # The constructor validates the arcs; this generator tracks which line's
+    # arc it is checking so its errors can carry that line.
+    current = 0
+
+    def numbered() -> Iterator[tuple[Vertex, Vertex]]:
+        nonlocal current
+        for current, tail, head in arcs:
+            yield tail, head
+
+    cls, size = header
+    try:
+        return cls(size, numbered())
+    except DigraphError as exc:
+        raise type(exc)(str(exc), line=current) from None
 
 
 # -- random sampling ----------------------------------------------------------

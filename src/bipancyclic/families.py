@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .conditions import check_bk
 from .cycles import cycle_spectrum, find_cycle_of_length, is_hamiltonian
-from .digraph import BipartiteDigraph, Digraph, Side, Vertex
+from .digraph import MAX_INPUT_ORDER, BipartiteDigraph, Digraph, Side, Vertex
 from .errors import BadParams
 
 
@@ -65,6 +65,10 @@ class FamilySpec:
             low = _PARAMETRIZED[self.family]
             if self.size is None or self.size < low:
                 raise BadParams(f"{self.family.value} needs size >= {low}, got {self.size}")
+            # every parametrized family has order 2 * size
+            if 2 * self.size > MAX_INPUT_ORDER:
+                high = MAX_INPUT_ORDER // 2
+                raise BadParams(f"{self.family.value} needs size <= {high}, got {self.size}")
         elif self.size is not None:
             raise BadParams(f"{self.family.value} takes no size parameter")
         if self.mirrored and self.family is not Family.H_M_M1_1:

@@ -28,7 +28,7 @@ from enum import Enum
 from functools import partial
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from .conditions import (
     HypothesisReport,
@@ -69,12 +69,6 @@ class IsomorphismWitness:
 
     mapping: tuple[tuple[Vertex, Vertex], ...]
     side_swap: bool
-
-    def image(self, v: Vertex) -> Vertex:
-        for src, dst in self.mapping:
-            if src == v:
-                return dst
-        raise KeyError(v)
 
     def render(self) -> str:
         pairs = " ".join(f"{s}->{d}" for s, d in self.mapping)
@@ -622,35 +616,3 @@ def write_violations(report: SearchReport, directory: str | Path) -> list[Path]:
         )
         written.append(path)
     return written
-
-
-def sweep_arc_subsets(
-    target: SearchTarget,
-    a: int,
-    base_arcs: Sequence[tuple],
-    free_arcs: Sequence[tuple],
-) -> tuple[int, int, list[str]]:
-    """Exhaustive slice sweep: evaluate the target on base + S for every
-    subset S of free_arcs.
-
-    Complements the randomized bulk when a full 2^(2a^2) sweep is out of
-    budget: fix most arcs, enumerate the rest.  Returns (evaluated count,
-    satisfying count, violation claims).  Subset order follows the binary
-    counter on free_arcs, least-significant arc first.
-    """
-    if len(free_arcs) > 20:
-        raise BadConfig(f"free-arc sweep capped at 20 arcs, got {len(free_arcs)}")
-    evaluate = _EVALUATORS[target]
-    satisfying = 0
-    claims: list[str] = []
-    count = 1 << len(free_arcs)
-    for mask in range(count):
-        arcs = list(base_arcs)
-        for k in range(len(free_arcs)):
-            if mask >> k & 1:
-                arcs.append(free_arcs[k])
-        D = BipartiteDigraph(a, arcs)
-        units, found = evaluate(D)
-        satisfying += units
-        claims.extend(found)
-    return count, satisfying, claims

@@ -339,6 +339,23 @@ class TestErrors:
         assert rc == 65
         assert err == "error: line 3: arc x0 x1 stays within one side\n"
 
+    @pytest.mark.parametrize(
+        "header",
+        ["bipartite a=" + "7" * 5000, "bipartite a=1000000000000000"],
+        ids=["a5000digits", "a1e15"],
+    )
+    def test_header_over_order_cap(self, capsys, tmp_path, header):
+        path = tmp_path / "huge.txt"
+        path.write_text(header + "\nx0 y0\n")
+        rc, out, err = run_cli(capsys, "cycles", str(path))
+        assert rc == 65 and out == ""
+        assert err == "error: line 1: order exceeds the cap of 256 vertices\n"
+
+    def test_family_size_over_order_cap(self, capsys):
+        rc, out, err = run_cli(capsys, "gen", "--family", "complete-bipartite", "--size", "129")
+        assert rc == 65 and out == ""
+        assert err == "error: complete-bipartite needs size <= 128, got 129\n"
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "cycles", "/nonexistent/d.txt")
         assert rc == 65 and err.startswith("error: ")

@@ -14,7 +14,9 @@ from bipancyclic import (
     complete_bipartite,
     d8,
     directed_cycle,
+    verify_theorem,
 )
+from bipancyclic.cli import render_verdict
 from bipancyclic.conditions import bk_holds
 from bipancyclic.errors import BadParams
 
@@ -133,7 +135,10 @@ class TestHypotheses:
         assert {"connectivity", "order", "degree condition"} <= kinds
 
     def test_render(self):
-        rep = check_theorem_hypotheses(d8(), Theorem.T1_10)
-        assert rep.render() == "claim 1.10: hypotheses satisfied"
+        # certify renders the hypothesis report inside its verdict
+        lines = render_verdict(verify_theorem(d8(), Theorem.T1_10)).splitlines()
+        assert lines[:2] == ["claim: 1.10", "hypotheses: satisfied"]
         rep = check_theorem_hypotheses(directed_cycle(4), Theorem.T1_10)
-        assert rep.render().splitlines()[0] == "claim 1.10: hypotheses NOT satisfied"
+        lines = render_verdict(verify_theorem(directed_cycle(4), Theorem.T1_10)).splitlines()
+        assert lines[1] == "hypotheses: not satisfied"
+        assert lines[2 : 2 + len(rep.failures)] == [f"  - {f}" for f in rep.failures]

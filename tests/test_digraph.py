@@ -205,6 +205,34 @@ class TestTextFormat:
         with pytest.raises(UnknownVertex) as exc:
             parse("bipartite a=2\nx0 y5\n")
         assert exc.value.line == 2
+        with pytest.raises(Loop) as exc:
+            parse("general n=2\nv0 v1\nv1 v1\n")
+        assert exc.value.line == 3
+        # a malformed line wins over an earlier invalid arc
+        with pytest.raises(ParseError) as exc:
+            parse("bipartite a=2\nx0 x1\nx0 y0 y1\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "header",
+        ["bipartite a=129", "general n=257", "general n=" + "9" * 5000],
+        ids=["a129", "n257", "n5000digits"],
+    )
+    def test_header_order_cap(self, header):
+        with pytest.raises(ParseError) as exc:
+            parse(f"# comment\n{header}\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: order exceeds the cap of 256 vertices"
+
+    def test_header_at_order_cap(self):
+        assert parse("bipartite a=128\n").n == 256
+        assert parse("general n=00256\nv0 v255\n").arc_count == 1
+
+    def test_header_needs_decimal_digits(self):
+        # "²".isdigit() holds, yet int() rejects it
+        with pytest.raises(ParseError) as exc:
+            parse("bipartite a=\u00b2\n")
+        assert exc.value.line == 1
 
     def test_serialize_ends_with_newline(self):
         assert serialize(BipartiteDigraph(1, [])).endswith("\n")

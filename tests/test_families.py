@@ -39,6 +39,13 @@ class TestSpecs:
             FamilySpec(Family.H_MM, size=1).validate()
         FamilySpec(Family.H_MM, size=2).validate()
 
+    def test_order_cap(self):
+        # every parametrized family has order 2 * size, capped at 256
+        FamilySpec(Family.COMPLETE_BIPARTITE, size=128).validate()
+        for size in (129, 10**15):
+            with pytest.raises(BadParams):
+                FamilySpec(Family.COMPLETE_BIPARTITE, size=size).validate()
+
     def test_flags_scoped_to_their_family(self):
         with pytest.raises(BadParams):
             FamilySpec(Family.H_MM, size=2, mirrored=True).validate()
