@@ -1,5 +1,6 @@
 """Theorem verdicts, the 8-vertex-exception recognizer, and the search harness."""
 
+import json
 import random
 from concurrent.futures import Future
 
@@ -22,6 +23,7 @@ from bipancyclic import (
     directed_cycle,
     hypotheses_hold,
     iso_to_D8,
+    parse,
     run_search,
     sample_digraph,
     sample_seed,
@@ -31,7 +33,7 @@ from bipancyclic import (
 )
 from bipancyclic.errors import BadConfig
 from bipancyclic.naive import naive_isomorphism
-from bipancyclic import verify
+from bipancyclic import cli, verify
 from bipancyclic.verify import _certificate
 
 from test_digraph import bipartite_digraphs
@@ -211,6 +213,31 @@ class TestIsoD8:
             )
 
 
+def _inline_pool(monkeypatch) -> list:
+    """Swap run_search's process pool for one that runs submitted calls
+    in-process on a 64-core machine; returns the requested pool sizes."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    return started
+
+
 class TestSampling:
     def test_sample_seed_is_stable(self):
         assert sample_seed(0, 4, 0.5, 0) == sample_seed(0, 4, 0.5, 0)
@@ -309,33 +336,90 @@ class TestSearch:
         assert 0 < satisfied < len(digraphs)
 
     def test_workers_clamped_before_pool_starts(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            """Runs submitted calls in-process and records the requested size."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        started = _inline_pool(monkeypatch)
         report = run_search(self.CONFIG, workers=100_000)
         assert started == [2]  # 600 samples make two blocks
         assert report.render() == run_search(self.CONFIG).render()
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         run_search(self.CONFIG, workers=100_000)
         assert started == [2]  # one usable core: no pool at all
+
+    def test_violation_path(self, monkeypatch, capsys, tmp_path):
+        # No shipped claim ever fails, so a stand-in evaluator flags every
+        # sample with an even arc count to drive the violation path.
+        def fake(D):
+            return 1, (["claim 1.8: even arc count"] if D.arc_count % 2 == 0 else [])
+
+        monkeypatch.setitem(verify._EVALUATORS, SearchTarget.T1_8, fake)
+        config = SearchConfig(
+            SearchTarget.T1_8, a_values=(4, 5), p_values=(0.5,), samples=600, seed=9
+        )
+        report = run_search(config)
+        expected = [
+            (a, p, i)
+            for a in config.a_values
+            for p in config.p_values
+            for i in range(config.samples)
+            if sample_digraph(config.seed, a, p, i).arc_count % 2 == 0
+        ]
+        assert 0 < len(expected) < 2 * config.samples
+        assert [(v.a, v.p, v.sample_index) for v in report.violations] == expected
+        for v in report.violations:
+            assert v.target is SearchTarget.T1_8 and v.config_seed == config.seed
+            assert v.sample_seed == sample_seed(config.seed, v.a, v.p, v.sample_index)
+            assert v.serialization == serialize(
+                sample_digraph(config.seed, v.a, v.p, v.sample_index)
+            )
+            assert v.claim == "claim 1.8: even arc count"
+        for cell in report.cells:
+            assert cell.samples == cell.satisfying == config.samples
+            assert cell.violations == sum(1 for a, p, _ in expected if (a, p) == (cell.a, cell.p))
+        assert report.samples_run == report.hypothesis_satisfying == 2 * config.samples
+
+        text = report.render().splitlines()
+        assert f"violations: {len(expected)}" in text
+        assert [line for line in text if line.startswith("VIOLATION")] == [
+            f"VIOLATION [claim 1.8: even arc count] repro: {v.repro_command()}"
+            for v in report.violations
+        ]
+
+        rc = cli.main(
+            ["search", "--target", "1.8", "--a", "4", "5", "--p", "0.5",
+             "--samples", "600", "--seed", "9", "--json"]
+        )
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violations"] == [
+            {
+                "a": v.a,
+                "p": v.p,
+                "sample_index": v.sample_index,
+                "sample_seed": v.sample_seed,
+                "claim": v.claim,
+                "repro": v.repro_command(),
+                "serialization": v.serialization,
+            }
+            for v in report.violations
+        ]
+        assert [c["violations"] for c in payload["cells"]] == [
+            c.violations for c in report.cells
+        ]
+
+        paths = write_violations(report, tmp_path)
+        assert len(paths) == len(expected)
+        for path, v in zip(paths, report.violations):
+            lines = path.read_text().splitlines()
+            assert lines[:2] == [f"# {v.claim}", f"# repro: {v.repro_command()}"]
+            assert parse(path.read_text()) == sample_digraph(
+                config.seed, v.a, v.p, v.sample_index
+            )
+
+        started = _inline_pool(monkeypatch)
+        pooled = run_search(config, workers=2)
+        assert started == [2]  # two cells of two blocks each
+        assert pooled.violations == report.violations
+        assert pooled.cells == report.cells
+        assert pooled.render() == report.render()
 
     def test_lemma_targets_run_clean(self):
         for target in (SearchTarget.L3_2, SearchTarget.L3_3, SearchTarget.L3_4):
