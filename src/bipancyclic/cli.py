@@ -24,7 +24,7 @@ from .cycles import (
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
 )
-from .digraph import BipartiteDigraph, Digraph, parse, serialize
+from .digraph import Digraph, parse, serialize
 from .errors import DigraphError
 from .families import Family, FamilySpec, generate
 from .verify import (
@@ -168,8 +168,6 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     D = _read_digraph(args.input)
     if args.two_sided:
-        if not isinstance(D, BipartiteDigraph):
-            raise DigraphError("degree conditions need a balanced bipartite digraph")
         holds, bad = check_two_sided_condition(D)
         if args.json:
             payload = {
@@ -323,39 +321,7 @@ def _cmd_search(args) -> int:
     if args.violations_dir is not None and report.violations:
         write_violations(report, args.violations_dir)
     if args.json:
-        _emit_json(
-            {
-                "target": config.target.value,
-                "a_values": list(config.a_values),
-                "p_values": list(config.p_values),
-                "samples_per_cell": config.samples,
-                "seed": config.seed,
-                "samples_run": report.samples_run,
-                "hypothesis_satisfying": report.hypothesis_satisfying,
-                "violations": [
-                    {
-                        "a": v.a,
-                        "p": v.p,
-                        "sample_index": v.sample_index,
-                        "sample_seed": v.sample_seed,
-                        "claim": v.claim,
-                        "repro": v.repro_command(),
-                        "serialization": v.serialization,
-                    }
-                    for v in report.violations
-                ],
-                "cells": [
-                    {
-                        "a": c.a,
-                        "p": c.p,
-                        "samples": c.samples,
-                        "satisfying": c.satisfying,
-                        "violations": c.violations,
-                    }
-                    for c in report.cells
-                ],
-            }
-        )
+        _emit_json(report.to_json())
     else:
         _emit(report.render())
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
@@ -396,10 +362,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except DigraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (DigraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -140,7 +140,9 @@ def bk_holds(D: BipartiteDigraph, k: int) -> bool:
 def check_two_sided_condition(D: BipartiteDigraph) -> tuple[bool, DominatingPair | None]:
     """Two-sided degree test on dominating pairs: one vertex of the pair must
     reach degree 2a - 1 and the other a + 1.  Returns (holds, first failing
-    pair in lex order or None)."""
+    pair in lex order or None).  Raises BadParams for a general digraph."""
+    if not isinstance(D, BipartiteDigraph):
+        raise BadParams("degree condition is defined on balanced bipartite digraphs")
     a = D.a
     for pair in D.dominating_pairs():
         du = D.degree(pair.u).total

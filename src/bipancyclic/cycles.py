@@ -123,21 +123,6 @@ def check_cycle(D: Digraph, vertices: Sequence[VertexLike]) -> Cycle:
     return Cycle(vs)
 
 
-def check_path(D: Digraph, vertices: Sequence[VertexLike]) -> PathWitness:
-    """Validate a vertex sequence as a directed path of D (>= 1 arc)."""
-    if isinstance(vertices, PathWitness):
-        vertices = vertices.vertices
-    vs = tuple(_as_vertex(v) for v in vertices)
-    if len(vs) < 2:
-        raise InvalidCycle(f"path needs >= 2 vertices, got {len(vs)}")
-    if len(set(vs)) != len(vs):
-        raise InvalidCycle("repeated vertex in path")
-    for u, w in zip(vs, vs[1:]):
-        if not D.has_arc(u, w):
-            raise InvalidCycle(f"missing arc {u} {w}")
-    return PathWitness(vs)
-
-
 # -- index-level search core ----------------------------------------------------
 
 

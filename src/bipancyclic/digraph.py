@@ -15,6 +15,7 @@ vertices in canonical order.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -33,6 +34,8 @@ from .errors import (
 # ten times the exhaustive spectrum scan's cap, and far below any size whose
 # adjacency allocation could exhaust memory.
 MAX_INPUT_ORDER = 256
+
+_VERTEX_NAME = re.compile(r"[xyv][0-9]{1,18}")
 
 
 class Side(str, Enum):
@@ -60,8 +63,12 @@ class Vertex:
 
     @staticmethod
     def parse(name: str) -> "Vertex":
-        """Parse ``x3``/``y0``/``v7``; raises UnknownVertex on anything else."""
-        if len(name) >= 2 and name[0] in ("x", "y", "v") and name[1:].isdigit():
+        """Parse ``x3``/``y0``/``v7``; raises UnknownVertex on anything else.
+
+        The index is 1 to 18 ASCII digits: int() rejects digits such as "²",
+        and refuses suffixes beyond Python's digit limit.
+        """
+        if _VERTEX_NAME.fullmatch(name):
             return Vertex(Side(name[0]), int(name[1:]))
         raise UnknownVertex(f"bad vertex name {name!r}")
 
@@ -401,12 +408,7 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
         raise BadParams(f"side size must be >= 1, got {a}")
     if not 0.0 <= p <= 1.0:
         raise BadParams(f"arc probability must be in [0, 1], got {p}")
-    return _sample(a, p, random.Random(seed))
-
-
-def _sample(a: int, p: float, rng: random.Random) -> BipartiteDigraph:
-    """Hot path shared by random_bipartite and the search harness."""
-    rnd = rng.random
+    rnd = random.Random(seed).random
     out = []
     for _ in range(a):  # tails x0..x{a-1}; head bit for y_j is a + j
         m = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .conditions import check_bk
 from .cycles import cycle_spectrum, find_cycle_of_length, is_hamiltonian
@@ -36,15 +36,6 @@ class Family(Enum):
     H_2M = "h2m"
 
 
-_PARAMETRIZED = {
-    Family.DIRECTED_CYCLE: 1,  # minimum size
-    Family.COMPLETE_BIPARTITE: 1,
-    Family.H_MM: 2,
-    Family.H_M_M1_1: 2,
-    Family.H_2M: 2,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family name plus its parameters.
@@ -61,8 +52,8 @@ class FamilySpec:
     both_link_arcs: bool = False
 
     def validate(self) -> None:
-        if self.family in _PARAMETRIZED:
-            low = _PARAMETRIZED[self.family]
+        low = _CATALOG[self.family][0]
+        if low is not None:
             if self.size is None or self.size < low:
                 raise BadParams(f"{self.family.value} needs size >= {low}, got {self.size}")
             # every parametrized family has order 2 * size
@@ -237,27 +228,24 @@ def _complete_cluster(indices: Iterable[int]) -> list[tuple[Vertex, Vertex]]:
     return [(_v(i), _v(j)) for i in idx for j in idx if i != j]
 
 
+# Each family's minimum size (None for a fixed digraph, which takes no size)
+# and the function that constructs its canonical member.
+_CATALOG: dict[Family, tuple[int | None, Callable[[FamilySpec], Digraph]]] = {
+    Family.D8: (None, lambda spec: d8()),
+    Family.D6: (None, lambda spec: d6()),
+    Family.D6_PRIME: (None, lambda spec: d6_prime()),
+    Family.DIRECTED_CYCLE: (1, lambda spec: directed_cycle(spec.size)),
+    Family.COMPLETE_BIPARTITE: (1, lambda spec: complete_bipartite(spec.size)),
+    Family.H_MM: (2, lambda spec: h_mm(spec.size)),
+    Family.H_M_M1_1: (2, lambda spec: h_m_m1_1(spec.size, spec.mirrored)),
+    Family.H_2M: (2, lambda spec: h_2m(spec.size, spec.both_link_arcs)),
+}
+
+
 def generate(spec: FamilySpec) -> Digraph:
     """Build the canonical member for a FamilySpec; raises BadParams."""
     spec.validate()
-    f = spec.family
-    if f is Family.D8:
-        return d8()
-    if f is Family.D6:
-        return d6()
-    if f is Family.D6_PRIME:
-        return d6_prime()
-    if f is Family.DIRECTED_CYCLE:
-        return directed_cycle(spec.size)
-    if f is Family.COMPLETE_BIPARTITE:
-        return complete_bipartite(spec.size)
-    if f is Family.H_MM:
-        return h_mm(spec.size)
-    if f is Family.H_M_M1_1:
-        return h_m_m1_1(spec.size, spec.mirrored)
-    if f is Family.H_2M:
-        return h_2m(spec.size, spec.both_link_arcs)
-    raise BadParams(f"unknown family {f!r}")
+    return _CATALOG[spec.family][1](spec)
 
 
 # -- replayable expectations -----------------------------------------------------
@@ -305,31 +293,23 @@ def family_properties(spec: FamilySpec) -> tuple[Expectation, ...]:
     return (Expectation("structure"), Expectation("not_hamiltonian"))
 
 
-def evaluate_expectation(D: Digraph, spec: FamilySpec, exp: Expectation) -> bool:
-    """Replay one expectation against a digraph; True means it holds."""
-    if exp.check == "strong":
-        return D.is_strong()
-    if exp.check == "is_directed_cycle":
-        return D.is_directed_cycle()
-    if exp.check == "hamiltonian":
-        return is_hamiltonian(D)
-    if exp.check == "not_hamiltonian":
-        return not is_hamiltonian(D)
-    if exp.check == "satisfies_bk":
-        return check_bk(D, int(exp.arg)).holds
-    if exp.check == "has_cycle_of_length":
-        return find_cycle_of_length(D, int(exp.arg)) is not None
-    if exp.check == "cycle_lengths":
-        return cycle_spectrum(D).lengths() == tuple(exp.arg)
-    if exp.check == "structure":
-        return _structure_holds(D, spec)
-    raise BadParams(f"unknown expectation {exp.check!r}")
+# How check_family replays each expectation: (member, spec, arg) -> holds.
+_CHECKS: dict[str, Callable[[Digraph, FamilySpec, object], bool]] = {
+    "strong": lambda D, spec, arg: D.is_strong(),
+    "is_directed_cycle": lambda D, spec, arg: D.is_directed_cycle(),
+    "hamiltonian": lambda D, spec, arg: is_hamiltonian(D),
+    "not_hamiltonian": lambda D, spec, arg: not is_hamiltonian(D),
+    "satisfies_bk": lambda D, spec, arg: check_bk(D, int(arg)).holds,
+    "has_cycle_of_length": lambda D, spec, arg: find_cycle_of_length(D, int(arg)) is not None,
+    "cycle_lengths": lambda D, spec, arg: cycle_spectrum(D).lengths() == tuple(arg),
+    "structure": lambda D, spec, arg: _structure_holds(D, spec),
+}
 
 
 def check_family(spec: FamilySpec) -> list[tuple[Expectation, bool]]:
     """Generate the member and replay every expectation against it."""
     D = generate(spec)
-    return [(exp, evaluate_expectation(D, spec, exp)) for exp in family_properties(spec)]
+    return [(exp, _CHECKS[exp.check](D, spec, exp.arg)) for exp in family_properties(spec)]
 
 
 # -- structural replay for the H constructions -------------------------------------

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from itertools import permutations
@@ -48,7 +47,7 @@ from .digraph import (
     BipartiteDigraph,
     Digraph,
     Vertex,
-    _sample,
+    random_bipartite,
     serialize,
 )
 from .errors import BadConfig, WitnessNotFound
@@ -357,6 +356,11 @@ class SearchConfig:
                 raise BadConfig(f"arc probability must be in [0, 1], got {p}")
         if self.samples < 0:
             raise BadConfig(f"sample count must be >= 0, got {self.samples}")
+        # a repeated value would name one cell twice and count it twice
+        if len(set(self.a_values)) < len(self.a_values):
+            raise BadConfig("side sizes must be distinct")
+        if len(set(self.p_values)) < len(self.p_values):
+            raise BadConfig("arc probabilities must be distinct")
 
 
 @dataclass(frozen=True)
@@ -376,10 +380,14 @@ class ViolationRecord:
     a: int
     p: float
     sample_index: int
-    sample_seed: int
     claim: str
     serialization: str
     config_seed: int
+
+    @property
+    def sample_seed(self) -> int:
+        """The sample's RNG seed, derived from the fields repro_command uses."""
+        return sample_seed(self.config_seed, self.a, self.p, self.sample_index)
 
     def repro_command(self) -> str:
         return (
@@ -393,17 +401,25 @@ class SearchReport:
     """Aggregated outcome of one search run.
 
     Counts and violations are a pure function of the config; runtime_seconds
-    is informational and excluded from any stable rendering.
+    is informational and excluded from any stable rendering.  The run totals
+    are sums over cells.
     """
 
     config: SearchConfig
-    samples_run: int
-    hypothesis_satisfying: int
     violations: tuple[ViolationRecord, ...]
     cells: tuple[CellStats, ...]
     runtime_seconds: float
 
+    @property
+    def samples_run(self) -> int:
+        return sum(cell.samples for cell in self.cells)
+
+    @property
+    def hypothesis_satisfying(self) -> int:
+        return sum(cell.satisfying for cell in self.cells)
+
     def render(self) -> str:
+        """search's text output."""
         c = self.config
         lines = [
             f"target: {c.target.value}",
@@ -424,6 +440,32 @@ class SearchReport:
             lines.append(f"VIOLATION [{v.claim}] repro: {v.repro_command()}")
         return "\n".join(lines)
 
+    def to_json(self) -> dict:
+        """search's JSON output document."""
+        c = self.config
+        return {
+            "target": c.target.value,
+            "a_values": list(c.a_values),
+            "p_values": list(c.p_values),
+            "samples_per_cell": c.samples,
+            "seed": c.seed,
+            "samples_run": self.samples_run,
+            "hypothesis_satisfying": self.hypothesis_satisfying,
+            "violations": [
+                {
+                    "a": v.a,
+                    "p": v.p,
+                    "sample_index": v.sample_index,
+                    "sample_seed": v.sample_seed,
+                    "claim": v.claim,
+                    "repro": v.repro_command(),
+                    "serialization": v.serialization,
+                }
+                for v in self.violations
+            ],
+            "cells": [asdict(cell) for cell in self.cells],
+        }
+
 
 def sample_seed(seed: int, a: int, p: float, index: int) -> int:
     """The per-sample RNG seed; pure, platform-stable."""
@@ -433,7 +475,7 @@ def sample_seed(seed: int, a: int, p: float, index: int) -> int:
 
 def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
     """Regenerate the index-th sample of a search cell."""
-    return _sample(a, p, random.Random(sample_seed(seed, a, p, index)))
+    return random_bipartite(a, p, sample_seed(seed, a, p, index))
 
 
 # Per-target evaluation: returns (satisfying units, violation claims).  A
@@ -511,25 +553,23 @@ _BLOCK = 512  # samples per worker task
 
 
 def _run_block(
-    target_value: str, a: int, p: float, seed: int, start: int, stop: int
-) -> tuple[int, int, list[tuple[int, int, str, str]]]:
-    """Evaluate sample indices [start, stop); returns counts and violations.
-
-    Violations come back as (index, sample_seed, claim, serialization) so the
-    parent can build records; everything is picklable for worker processes.
-    """
-    evaluate = _EVALUATORS[SearchTarget(target_value)]
+    target: SearchTarget, a: int, p: float, seed: int, start: int, stop: int
+) -> tuple[int, list[ViolationRecord]]:
+    """Evaluate sample indices [start, stop) of one cell; returns the
+    satisfying count and the violation records, picklable for workers."""
+    evaluate = _EVALUATORS[target]
     satisfying = 0
-    violations: list[tuple[int, int, str, str]] = []
+    violations: list[ViolationRecord] = []
     for i in range(start, stop):
-        s = sample_seed(seed, a, p, i)
-        D = _sample(a, p, random.Random(s))
+        D = sample_digraph(seed, a, p, i)
         units, claims = evaluate(D)
         satisfying += units
         if claims:
             text = serialize(D)
-            violations.extend((i, s, claim, text) for claim in claims)
-    return stop - start, satisfying, violations
+            violations.extend(
+                ViolationRecord(target, a, p, i, claim, text, seed) for claim in claims
+            )
+    return satisfying, violations
 
 
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
@@ -538,12 +578,8 @@ def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     if workers < 1:
         raise BadConfig(f"worker count must be >= 1, got {workers}")
     started = time.perf_counter()
-    cells: list[CellStats] = []
-    violations: list[ViolationRecord] = []
-    samples_run = 0
-    satisfying_total = 0
     blocks = [
-        (a, p, start, min(start + _BLOCK, config.samples))
+        (config.target, a, p, config.seed, start, min(start + _BLOCK, config.samples))
         for a in config.a_values
         for p in config.p_values
         for start in range(0, config.samples, _BLOCK)
@@ -552,48 +588,24 @@ def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     # of its workers up front.
     workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [
-            _run_block(config.target.value, a, p, config.seed, start, stop)
-            for a, p, start, stop in blocks
-        ]
+        results = [_run_block(*block) for block in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_block, config.target.value, a, p, config.seed, start, stop)
-                for a, p, start, stop in blocks
-            ]
+            futures = [pool.submit(_run_block, *block) for block in blocks]
             results = [f.result() for f in futures]
-    by_cell: dict[tuple[int, float], list[int]] = {}
-    for (a, p, start, stop), (ran, satisfying, found) in zip(blocks, results):
-        stats = by_cell.setdefault((a, p), [0, 0, 0])
-        stats[0] += ran
-        stats[1] += satisfying
-        stats[2] += len(found)
-        samples_run += ran
-        satisfying_total += satisfying
-        for index, s, claim, text in found:
-            violations.append(
-                ViolationRecord(
-                    target=config.target,
-                    a=a,
-                    p=p,
-                    sample_index=index,
-                    sample_seed=s,
-                    claim=claim,
-                    serialization=text,
-                    config_seed=config.seed,
-                )
-            )
-    for a in config.a_values:
-        for p in config.p_values:
-            ran, satisfying, bad = by_cell.get((a, p), [0, 0, 0])
-            cells.append(CellStats(a=a, p=p, samples=ran, satisfying=satisfying, violations=bad))
+    # (samples, satisfying, violations) per cell, in grid order
+    counts = {(a, p): [0, 0, 0] for a in config.a_values for p in config.p_values}
+    violations: list[ViolationRecord] = []
+    for (_, a, p, _, start, stop), (satisfying, found) in zip(blocks, results):
+        cell = counts[a, p]
+        cell[0] += stop - start
+        cell[1] += satisfying
+        cell[2] += len(found)
+        violations.extend(found)
     return SearchReport(
         config=config,
-        samples_run=samples_run,
-        hypothesis_satisfying=satisfying_total,
         violations=tuple(violations),
-        cells=tuple(cells),
+        cells=tuple(CellStats(a, p, *cell) for (a, p), cell in counts.items()),
         runtime_seconds=time.perf_counter() - started,
     )
 

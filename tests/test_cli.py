@@ -304,6 +304,14 @@ class TestSearch:
         )
         assert rc == 65 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "grid", [("--a", "4", "4", "--p", "0.7"), ("--a", "4", "--p", "0.7", "0.70")]
+    )
+    def test_repeated_grid_value_is_data_error(self, capsys, grid):
+        rc, out, err = run_cli(capsys, "search", "--target", "1.8", *grid, "--samples", "10")
+        assert rc == 65 and out == ""
+        assert err.startswith("error: ") and "distinct" in err
+
 
 class TestIsoD8Command:
     def test_positive(self, capsys, d8_file):
@@ -338,6 +346,13 @@ class TestErrors:
         rc, _, err = run_cli(capsys, "check", "--bk", "0", str(path))
         assert rc == 65
         assert err == "error: line 3: arc x0 x1 stays within one side\n"
+
+    def test_bad_vertex_name(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("bipartite a=2\nx0 y\u00b2\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, "cycles", str(path))
+        assert rc == 65 and out == ""
+        assert err == "error: line 2: bad vertex name 'y\u00b2'\n"
 
     @pytest.mark.parametrize(
         "header",

@@ -92,6 +92,10 @@ class TestTwoSidedCondition:
         holds, bad = check_two_sided_condition(directed_cycle(5))
         assert holds and bad is None
 
+    def test_needs_bipartite(self):
+        with pytest.raises(BadParams):
+            check_two_sided_condition(Digraph(2, [("v0", "v1")]))
+
 
 class TestHypotheses:
     def test_d8_per_claim(self):

@@ -61,8 +61,12 @@ class TestVertex:
         assert str(Vertex.parse("x3")) == "x3"
         assert Vertex.parse("y0") == Vertex(Side.Y, 0)
         assert Vertex.parse("v12") == Vertex(Side.GENERAL, 12)
+        assert Vertex.parse("x" + "9" * 18).index == 10**18 - 1
+        assert Digraph(1000, [("v999", "v0")]).has_arc("v999", "v0")
 
-    @pytest.mark.parametrize("bad", ["", "x", "z1", "x-1", "1x", "xy1", "x1y"])
+    @pytest.mark.parametrize(
+        "bad", ["", "x", "z1", "x-1", "1x", "xy1", "x1y", "y\u00b2", "x" + "1" * 19]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(UnknownVertex):
             Vertex.parse(bad)
@@ -208,6 +212,12 @@ class TestTextFormat:
         with pytest.raises(Loop) as exc:
             parse("general n=2\nv0 v1\nv1 v1\n")
         assert exc.value.line == 3
+        # non-ASCII digits and over-long suffixes never reach int()
+        for name in ("y\u00b2", "y" + "1" * 5000):
+            with pytest.raises(ParseError) as exc:
+                parse(f"bipartite a=2\nx0 {name}\n")
+            assert exc.value.line == 2
+            assert str(exc.value) == f"line 2: bad vertex name {name!r}"
         # a malformed line wins over an earlier invalid arc
         with pytest.raises(ParseError) as exc:
             parse("bipartite a=2\nx0 x1\nx0 y0 y1\n")

@@ -1,5 +1,6 @@
 """Theorem verdicts, the 8-vertex-exception recognizer, and the search harness."""
 
+import dataclasses
 import json
 import random
 from concurrent.futures import Future
@@ -292,6 +293,8 @@ class TestSearch:
             SearchConfig(SearchTarget.T1_8, a_values=(13,)),
             SearchConfig(SearchTarget.T1_8, p_values=(1.5,)),
             SearchConfig(SearchTarget.T1_8, samples=-1),
+            SearchConfig(SearchTarget.T1_8, a_values=(4, 5, 4)),
+            SearchConfig(SearchTarget.T1_8, p_values=(0.7, 0.5, 0.7)),
         ):
             with pytest.raises(BadConfig):
                 run_search(cfg)
@@ -442,7 +445,6 @@ class TestViolationFiles:
             a=4,
             p=0.5,
             sample_index=3,
-            sample_seed=sample_seed(0, 4, 0.5, 3),
             claim="claim 1.8: synthetic record for format checks",
             serialization=serialize(d8()),
             config_seed=0,
@@ -454,25 +456,17 @@ class TestViolationFiles:
         assert record.repro_command() == (
             "bipancyclic search --target 1.8 --a 4 --p 0.5 --samples 4 --seed 0"
         )
+        assert record.sample_seed == sample_seed(0, 4, 0.5, 3)
 
     def test_write_violations(self, tmp_path):
         report, record = self._fake_report()
-        report = type(report)(
-            config=report.config,
-            samples_run=report.samples_run,
-            hypothesis_satisfying=report.hypothesis_satisfying,
-            violations=(record,),
-            cells=report.cells,
-            runtime_seconds=report.runtime_seconds,
-        )
+        report = dataclasses.replace(report, violations=(record,))
         paths = write_violations(report, tmp_path)
         assert [p.name for p in paths] == ["violation-1_8-a4-p0.5-i3.txt"]
         text = paths[0].read_text()
         lines = text.splitlines()
         assert lines[0] == "# claim 1.8: synthetic record for format checks"
         assert lines[1] == "# repro: " + record.repro_command()
-        from bipancyclic import parse
-
         assert parse(text) == d8()
 
 
