@@ -14,7 +14,7 @@ vertices in canonical order.
 
 from __future__ import annotations
 
-import random
+import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -271,22 +271,6 @@ class BipartiteDigraph(Digraph):
         if tail.side is head.side:
             raise WithinSideArc(f"arc {tail} {head} stays within one side")
 
-    @classmethod
-    def _from_out_masks(cls, a: int, out: Sequence[int]) -> "BipartiteDigraph":
-        """Trusted fast path for the sampler: masks must already be cross-side."""
-        self = cls.__new__(cls)
-        self.a = a
-        self.n = n = 2 * a
-        self._out = tuple(out)
-        inn = [0] * n
-        for i, m in enumerate(out):
-            while m:
-                low = m & -m
-                inn[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        self._in = tuple(inn)
-        return self
-
     def __repr__(self) -> str:
         return f"BipartiteDigraph(a={self.a}, arcs={self.arc_count})"
 
@@ -394,36 +378,53 @@ def parse(text: str) -> Digraph:
 # -- random sampling ----------------------------------------------------------
 
 
+_ASCII_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
     """Sample a balanced bipartite digraph: each cross arc present independently
-    with probability p.
+    with probability p, quantized to round(p * 65536) / 65536.
 
-    Determinism contract: a (a, p, seed) triple yields the same digraph on any
-    platform.  The generator is random.Random(seed) (Mersenne Twister, whose
-    output sequence is part of Python's compatibility guarantees) and arcs are
-    decided one random() draw each, in canonical arc-slot order: all arcs out
-    of x0 (heads y0..y{a-1}), then x1, ..., then y0 (heads x0..x{a-1}), ...
+    Determinism contract: an (a, p, seed) triple yields the same digraph on
+    any platform.  The draws are ``shake_256(f"{seed}|{a}")``'s first 4a^2
+    bytes, read as one little-endian 16-bit draw U_k per arc slot k, in
+    canonical slot order: all arcs out of x0 (heads y0..y{a-1}), then x1,
+    ..., then y0 (heads x0..x{a-1}), ...  Slot k holds an arc iff
+    U_k < round(p * 65536), so p = 0, 1/2 and 1 are exact, and since p is not
+    part of the key the draws are coupled monotonically in p: for p <= p' at
+    the same (a, seed), every arc drawn at p is drawn at p' too.
     """
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
     if not 0.0 <= p <= 1.0:
         raise BadParams(f"arc probability must be in [0, 1], got {p}")
-    rnd = random.Random(seed).random
-    out = []
-    for _ in range(a):  # tails x0..x{a-1}; head bit for y_j is a + j
-        m = 0
-        bit = 1 << a
-        for _ in range(a):
-            if rnd() < p:
-                m |= bit
-            bit <<= 1
-        out.append(m)
-    for _ in range(a):  # tails y0..y{a-1}; head bit for x_i is i
-        m = 0
-        bit = 1
-        for _ in range(a):
-            if rnd() < p:
-                m |= bit
-            bit <<= 1
-        out.append(m)
-    return BipartiteDigraph._from_out_masks(a, out)
+    m = 2 * a * a  # arc slots
+    digest = hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m)
+    # Each draw gets a 24-bit lane: the draw, then a zero guard byte.  Lane k
+    # of rep * (65535 + threshold) - draws holds 65535 + threshold - U_k,
+    # which lies in [0, 2^17), so no lane borrows from the next, and its
+    # guard bit (bit 16) is set exactly when U_k < threshold.
+    lanes = bytearray(3 * m)
+    lanes[0::3] = digest[0::2]
+    lanes[1::3] = digest[1::2]
+    rep = int.from_bytes(b"\x01\x00\x00" * m, "little")
+    threshold = round(p * 65536)
+    hits = (rep * (65535 + threshold) - int.from_bytes(lanes, "little")) & (rep << 16)
+    # One ASCII digit per slot, last slot first, so int(digits, 2) has slot k,
+    # the arc from tail row r = k // a to head column c = k % a, at bit k.
+    # Viewed as a 2a x a matrix the reversed digits read out column-major
+    # are the reversed column-major order, so int() of them has that arc at
+    # bit 2a * c + r: column c holds the in-masks of y_c (rows < a) and x_c.
+    digits = hits.to_bytes(3 * m, "big")[::3].translate(_ASCII_BIT)
+    by_tail = int(digits, 2)
+    by_head = int(memoryview(digits).cast("B", (2 * a, a)).tobytes("F"), 2)
+    low = (1 << a) - 1  # the x side's bits
+    high = low << a  # the y side's bits
+    rows = [by_tail >> s & low for s in range(0, m, a)]
+    cols = [by_head >> s for s in range(0, m, 2 * a)]
+    D = BipartiteDigraph.__new__(BipartiteDigraph)
+    D.a, D.n = a, 2 * a
+    # an x tail's heads are y vertices, so its row moves up to the y side
+    D._out = tuple([r << a for r in rows[:a]] + rows[a:])
+    D._in = tuple([c & high for c in cols] + [c & low for c in cols])
+    return D

@@ -328,13 +328,18 @@ class SearchTarget(Enum):
     L3_4 = "3.4"
 
 
+# Largest per-cell sample count: thirty times the acceptance gate's largest
+# run, and small enough that run_search's block list stays in memory.
+MAX_SAMPLES = 10_000_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Grid plus budget for one search run.
 
-    samples counts digraphs drawn per (a, p) cell.  The per-sample RNG seed
-    is sha256(f"{seed}|{a}|{p!r}|{index}") truncated to 64 bits, so any
-    single sample can be regenerated in isolation.
+    samples counts digraphs drawn per (a, p) cell, at most MAX_SAMPLES.  The
+    per-sample RNG seed is sha256(f"{seed}|{a}|{p!r}|{index}") truncated to
+    64 bits, so any single sample can be regenerated in isolation.
     """
 
     target: SearchTarget
@@ -354,8 +359,10 @@ class SearchConfig:
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise BadConfig(f"arc probability must be in [0, 1], got {p}")
-        if self.samples < 0:
-            raise BadConfig(f"sample count must be >= 0, got {self.samples}")
+        if not 0 <= self.samples <= MAX_SAMPLES:
+            raise BadConfig(
+                f"sample count must be in [0, {MAX_SAMPLES}], got {self.samples}"
+            )
         # a repeated value would name one cell twice and count it twice
         if len(set(self.a_values)) < len(self.a_values):
             raise BadConfig("side sizes must be distinct")

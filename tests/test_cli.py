@@ -304,6 +304,14 @@ class TestSearch:
         )
         assert rc == 65 and "error:" in err
 
+    def test_sample_count_over_cap_is_data_error(self, capsys):
+        # rejected before any work is planned: no block list, no MemoryError
+        rc, out, err = run_cli(
+            capsys, "search", "--target", "1.8", "--samples", "1000000000000"
+        )
+        assert rc == 65 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "grid", [("--a", "4", "4", "--p", "0.7"), ("--a", "4", "--p", "0.7", "0.70")]
     )

@@ -1,7 +1,10 @@
 """Core model: construction, validation, queries, text format, sampling."""
 
+import hashlib
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipancyclic import (
@@ -13,6 +16,7 @@ from bipancyclic import (
     directed_cycle,
     parse,
     random_bipartite,
+    sample_digraph,
     serialize,
 )
 from bipancyclic.errors import (
@@ -262,27 +266,105 @@ class TestTextFormat:
         assert serialize(parse(text)) == text
 
 
+def _contract_draws(a, seed):
+    """The 16-bit draws U_k of random_bipartite's documented contract."""
+    digest = hashlib.shake_256(f"{seed}|{a}".encode()).digest(4 * a * a)
+    return [int.from_bytes(digest[2 * k : 2 * k + 2], "little") for k in range(2 * a * a)]
+
+
+def _contract_draw(a, p, seed):
+    """random_bipartite's documented contract, decided one slot at a time."""
+    threshold = round(p * 65536)
+    arcs = []
+    for k, u in enumerate(_contract_draws(a, seed)):
+        tail, head = divmod(k, a)
+        if u < threshold:
+            if tail < a:
+                arcs.append((f"x{tail}", f"y{head}"))
+            else:
+                arcs.append((f"y{tail - a}", f"x{head}"))
+    return BipartiteDigraph(a, arcs)
+
+
+sides = st.integers(1, 12)
+probabilities = st.floats(0.0, 1.0)
+# negative and wider-than-64-bit seeds are valid keys too
+seeds = st.integers(-(2**80), 2**80)
+bad_probabilities = st.one_of(
+    st.floats(max_value=0.0, exclude_max=True),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.just(math.nan),
+)
+
+
 class TestRandomBipartite:
     def test_deterministic(self):
         assert random_bipartite(5, 0.4, 99) == random_bipartite(5, 0.4, 99)
         assert random_bipartite(5, 0.4, 99) != random_bipartite(5, 0.4, 100)
 
-    def test_extremes(self):
-        assert random_bipartite(3, 0.0, 7).arc_count == 0
-        assert random_bipartite(3, 1.0, 7).arc_count == 18
+    @given(sides, seeds)
+    @example(3, 7)
+    def test_extremes(self, a, seed):
+        assert random_bipartite(a, 0.0, seed).arc_count == 0
+        assert random_bipartite(a, 1.0, seed).arc_count == 2 * a * a
 
-    def test_bad_params(self):
-        with pytest.raises(BadParams):
-            random_bipartite(0, 0.5, 1)
-        with pytest.raises(BadParams):
-            random_bipartite(3, 1.5, 1)
+    @given(st.integers(-(2**70), 0), sides, bad_probabilities, probabilities, seeds)
+    @example(0, 3, 1.5, 0.5, 1)
+    def test_bad_params(self, bad_a, a, bad_p, p, seed):
+        with pytest.raises(BadParams, match=f"^side size must be >= 1, got {bad_a}$"):
+            random_bipartite(bad_a, p, seed)
+        with pytest.raises(BadParams, match=r"^arc probability must be in \[0, 1\], got "):
+            random_bipartite(a, bad_p, seed)
 
     def test_known_draw(self):
-        # frozen: the sampler walks arc slots x-block first, then y-block
-        D = random_bipartite(2, 0.5, 0)
-        assert serialize(D) == serialize(parse(serialize(D)))
-        again = random_bipartite(2, 0.5, 0)
-        assert serialize(D) == serialize(again)
+        # frozen stream: a change to the draws, their order or the threshold
+        # must fail here
+        assert serialize(random_bipartite(2, 0.5, 0)) == (
+            "bipartite a=2\nx0 y1\ny0 x0\ny1 x0\n"
+        )
+        assert serialize(random_bipartite(4, 0.3, 7)) == (
+            "bipartite a=4\nx3 y0\ny0 x3\ny2 x0\ny2 x1\ny2 x3\n"
+        )
+        assert serialize(sample_digraph(0, 4, 0.7, 1234)).splitlines() == [
+            "bipartite a=4",
+            "x0 y0", "x0 y1", "x0 y2", "x0 y3", "x1 y0", "x1 y1", "x1 y3",
+            "x2 y1", "x2 y2", "x3 y0", "x3 y1", "x3 y2", "x3 y3",
+            "y1 x0", "y1 x1", "y1 x2", "y1 x3", "y2 x0", "y2 x1", "y2 x2",
+            "y2 x3", "y3 x2", "y3 x3",
+        ]
+
+    @given(sides, probabilities, seeds)
+    def test_masks_match_constructor_and_contract(self, a, p, seed):
+        D = random_bipartite(a, p, seed)
+        built = BipartiteDigraph(a, D.arcs())
+        # the in-masks are the exact transpose of the out-masks
+        assert D == built and D._in == built._in
+        assert D._out == _contract_draw(a, p, seed)._out
+
+    @given(sides, probabilities, probabilities, seeds)
+    def test_monotone_coupling_in_p(self, a, p, q, seed):
+        lo, hi = sorted((p, q))
+        sparse, dense = random_bipartite(a, lo, seed), random_bipartite(a, hi, seed)
+        assert all(m & ~n == 0 for m, n in zip(sparse._out, dense._out))
+
+    @given(sides, seeds, st.data())
+    def test_threshold_is_strict_and_rounded(self, a, seed, data):
+        # slot k holds an arc iff U_k < round(p * 65536)
+        k = data.draw(st.integers(0, 2 * a * a - 1))
+        u = _contract_draws(a, seed)[k]
+        tail, head = divmod(k, a)
+        bit = 1 << (a + head if tail < a else head)
+        for offset, present in ((0.0, False), (0.4, False), (0.6, True)):
+            D = random_bipartite(a, (u + offset) / 65536, seed)
+            assert bool(D._out[tail] & bit) is present
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sides, probabilities)
+    def test_arc_frequency(self, a, p):
+        q = round(p * 65536) / 65536
+        slots = 300 * 2 * a * a
+        arcs = sum(random_bipartite(a, p, seed).arc_count for seed in range(300))
+        assert abs(arcs - q * slots) <= 5 * math.sqrt(slots * q * (1 - q))
 
 
 def test_index_order_matches_canonical_order():

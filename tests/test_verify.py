@@ -35,7 +35,7 @@ from bipancyclic import (
 from bipancyclic.errors import BadConfig
 from bipancyclic.naive import naive_isomorphism
 from bipancyclic import cli, verify
-from bipancyclic.verify import _certificate
+from bipancyclic.verify import MAX_SAMPLES, _certificate
 
 from test_digraph import bipartite_digraphs
 
@@ -293,6 +293,7 @@ class TestSearch:
             SearchConfig(SearchTarget.T1_8, a_values=(13,)),
             SearchConfig(SearchTarget.T1_8, p_values=(1.5,)),
             SearchConfig(SearchTarget.T1_8, samples=-1),
+            SearchConfig(SearchTarget.T1_8, samples=MAX_SAMPLES + 1),
             SearchConfig(SearchTarget.T1_8, a_values=(4, 5, 4)),
             SearchConfig(SearchTarget.T1_8, p_values=(0.7, 0.5, 0.7)),
         ):
@@ -300,6 +301,9 @@ class TestSearch:
                 run_search(cfg)
         with pytest.raises(BadConfig):
             run_search(SearchConfig(SearchTarget.T1_8), workers=0)
+
+    def test_sample_cap_is_accepted(self):
+        SearchConfig(SearchTarget.T1_8, samples=MAX_SAMPLES).validate()
 
     @pytest.mark.parametrize(
         "target,theorem",
