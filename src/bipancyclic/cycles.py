@@ -8,8 +8,14 @@ whole vertex sequence is lexicographically least among all cycles of that
 length (rotations of the same cycle included).
 
 The searches are exact: a None result means no witness exists, never that a
-budget ran out.  Order is capped only where a full spectrum or longest-cycle
-scan is requested (TooLarge above ``max_n``).
+budget ran out.  Two bounds decide many absences before any branching, and
+both only discard starts or searches that have no completion, so None stays
+exact: each start is searched only inside its strong component among the
+vertices not yet used as starts (a cycle through it cannot leave that
+component), and a search that must cover every allowed vertex first checks
+that the allowed vertices have a cycle cover (each can take a distinct
+successor among them).  Order is capped only where a full spectrum or
+longest-cycle scan is requested (TooLarge above ``max_n``).
 
 Internal invariant (asserted in the test suite): in both digraph classes the
 integer vertex index increases exactly with canonical vertex order, so
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex, _reach
+from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex, _bits, _reach
 from .errors import BadLength, InvalidCycle, PreconditionUnmet, TooLarge, WitnessNotFound
 
 DEFAULT_MAX_ORDER = 24
@@ -149,21 +155,48 @@ def _reach_within(out: Sequence[int], src: int, target_bit: int, allowed: int, s
     return False
 
 
+def _has_cycle_cover(out: Sequence[int], allowed: int) -> bool:
+    """Can every allowed vertex take a distinct successor inside allowed?
+
+    That is a perfect matching of allowed onto itself along arcs, found by
+    Kuhn's augmenting paths; a cycle through every allowed vertex is one.
+    """
+    owner: dict[int, int] = {}  # successor -> the vertex matched to it
+    seen = 0  # successors tried in the current augmenting search
+
+    def augment(v: int) -> bool:
+        nonlocal seen
+        while cand := out[v] & allowed & ~seen:
+            low = cand & -cand
+            seen |= low
+            w = low.bit_length() - 1
+            if w not in owner or augment(owner[w]):
+                owner[w] = v
+                return True
+        return False
+
+    for v in _bits(allowed):
+        seen = 0
+        if not augment(v):
+            return False
+    return True
+
+
 def _lex_min_cycle_from(
-    out: Sequence[int],
-    inn: Sequence[int],
-    start: int,
-    m: int,
-    allowed: int,
-    require_cover: bool,
+    out: Sequence[int], inn: Sequence[int], start: int, m: int, allowed: int
 ) -> list[int] | None:
     """Least m-cycle starting at ``start`` inside ``allowed`` (start included).
 
     Exploration is depth-first with neighbors in ascending index order, so
-    the first completed cycle is the least one starting at start.  When
-    require_cover is set (the cycle must use every allowed vertex), branches
-    that strand an allowed vertex are cut early.
+    the first completed cycle is the least one starting at start.  A covering
+    search (m equals the number of allowed vertices) returns None at once
+    when the allowed vertices have no cycle cover, and cuts branches that
+    strand an allowed vertex.  Both cuts drop only branches with no
+    completion, so None still means no such cycle exists.
     """
+    require_cover = allowed.bit_count() == m
+    if require_cover and not _has_cycle_cover(out, allowed):
+        return None
     start_bit = 1 << start
     pool = allowed & ~start_bit
     path = [start]
@@ -212,14 +245,16 @@ def _find_cycle_indices(D: Digraph, m: int, allowed: int | None = None) -> list[
         low = todo & -todo
         start = low.bit_length() - 1
         rest = allowed & ~(low - 1)  # start and all later vertices
-        avail = rest.bit_count()
-        if avail < m:
+        if rest.bit_count() < m:
             return None
         # Starts ascend in canonical order and branches only use later
-        # vertices, so the first hit is the global lex-min witness.
-        hit = _lex_min_cycle_from(out, inn, start, m, rest, avail == m)
-        if hit is not None:
-            return hit
+        # vertices, so the first hit is the global lex-min witness.  A cycle
+        # through start stays in start's strong component within rest.
+        core = _reach(out, start, rest) & _reach(inn, start, rest)
+        if core.bit_count() >= m:
+            hit = _lex_min_cycle_from(out, inn, start, m, core)
+            if hit is not None:
+                return hit
         todo ^= low
     return None
 
@@ -379,7 +414,7 @@ def cycles_through_vertex(
         allowed |= 1 << D._index(v)
     found: dict[int, Cycle] = {}
     for m in range(2, 2 * b + 1, 2):
-        hit = _lex_min_cycle_from(D._out, D._in, xi, m, allowed, m == allowed.bit_count())
+        hit = _lex_min_cycle_from(D._out, D._in, xi, m, allowed)
         if hit is None:
             raise WitnessNotFound(
                 f"no cycle of length {m} through {xv} within the cycle vertices"

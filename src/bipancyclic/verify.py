@@ -21,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from itertools import permutations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .conditions import (
     HypothesisReport,
@@ -328,8 +329,7 @@ class SearchTarget(Enum):
     L3_4 = "3.4"
 
 
-# Largest per-cell sample count: thirty times the acceptance gate's largest
-# run, and small enough that run_search's block list stays in memory.
+# Largest per-cell sample count: thirty times the acceptance gate's largest run.
 MAX_SAMPLES = 10_000_000
 
 
@@ -579,31 +579,47 @@ def _run_block(
     return satisfying, violations
 
 
+def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tuple, tuple]]:
+    """Yield each block with its _run_block result, in block order.
+
+    Blocks are drawn lazily, and a pool keeps at most 2 * workers of them in
+    flight, so memory does not grow with the number of blocks.
+    """
+    if workers <= 1:
+        for block in blocks:
+            yield block, _run_block(*block)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        in_flight: deque[tuple[tuple, Future]] = deque()
+        for block in blocks:
+            in_flight.append((block, pool.submit(_run_block, *block)))
+            if len(in_flight) == 2 * workers:
+                done, future = in_flight.popleft()
+                yield done, future.result()
+        for done, future in in_flight:
+            yield done, future.result()
+
+
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the configured search; counts are independent of worker count."""
     config.validate()
     if workers < 1:
         raise BadConfig(f"worker count must be >= 1, got {workers}")
     started = time.perf_counter()
-    blocks = [
+    cells = [(a, p) for a in config.a_values for p in config.p_values]
+    starts = range(0, config.samples, _BLOCK)
+    blocks = (
         (config.target, a, p, config.seed, start, min(start + _BLOCK, config.samples))
-        for a in config.a_values
-        for p in config.p_values
-        for start in range(0, config.samples, _BLOCK)
-    ]
+        for a, p in cells
+        for start in starts
+    )
     # More processes than blocks or cores cannot help, and a pool forks all
     # of its workers up front.
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_run_block(*block) for block in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, *block) for block in blocks]
-            results = [f.result() for f in futures]
+    workers = min(workers, len(cells) * len(starts), os.cpu_count() or 1)
     # (samples, satisfying, violations) per cell, in grid order
-    counts = {(a, p): [0, 0, 0] for a in config.a_values for p in config.p_values}
+    counts = {cell: [0, 0, 0] for cell in cells}
     violations: list[ViolationRecord] = []
-    for (_, a, p, _, start, stop), (satisfying, found) in zip(blocks, results):
+    for (_, a, p, _, start, stop), (satisfying, found) in _block_results(blocks, workers):
         cell = counts[a, p]
         cell[0] += stop - start
         cell[1] += satisfying

@@ -1,5 +1,7 @@
 """Cycle engine: witnesses, spectra, bypasses, and oracle agreement."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +21,56 @@ from bipancyclic import (
     is_hamiltonian,
     longest_non_hamiltonian_cycle,
 )
+from bipancyclic.cycles import _has_cycle_cover
 from bipancyclic.errors import (
     BadLength,
     InvalidCycle,
     PreconditionUnmet,
     TooLarge,
 )
+from bipancyclic.families import h_2m, h_m_m1_1, h_mm
 from bipancyclic.naive import naive_bypasses, naive_cycle_lengths, naive_find_cycle
 
 from test_digraph import bipartite_digraphs, general_digraphs
+
+
+@st.composite
+def disjoint_unions(draw, max_n=4):
+    """Two random general digraphs side by side: never strong, and a cycle
+    stays inside one part."""
+    left = draw(general_digraphs(min_n=1, max_n=max_n))
+    right = draw(general_digraphs(min_n=1, max_n=max_n))
+    shift = [(f"v{u.index + left.n}", f"v{w.index + left.n}") for u, w in right.arcs()]
+    return Digraph(left.n + right.n, list(left.arcs()) + shift)
+
+
+def hall_deficient(a: int, src: str) -> BipartiteDigraph:
+    """Complete both ways, except that the first ceil(a/2) vertices of side
+    src send only to the first ceil(a/2) - 1 vertices of the other side.
+
+    A cycle through all 2a vertices would give those ceil(a/2) vertices
+    distinct successors among ceil(a/2) - 1, so none exists.
+    """
+    dst = "y" if src == "x" else "x"
+    k = (a + 1) // 2
+    arcs = []
+    for i in range(a):
+        for j in range(a):
+            arcs.append((f"{dst}{j}", f"{src}{i}"))
+            if i >= k or j < k - 1:
+                arcs.append((f"{src}{i}", f"{dst}{j}"))
+    return BipartiteDigraph(a, arcs)
+
+
+# Members whose vertex sets split into several strong components once the
+# earlier starts are removed, so restricting each start to its component
+# cuts the search.
+LINKED_CLUSTERS = {f"hmm{m}": h_mm(m) for m in range(2, 6)}
+LINKED_CLUSTERS.update(
+    (f"h2m{m}{'-both' if both else ''}", h_2m(m, both))
+    for m in range(2, 6)
+    for both in (False, True)
+)
 
 
 class TestFindCycle:
@@ -65,13 +108,22 @@ class TestFindCycle:
             assert got is not None
             assert got.vertices == want
 
-    @given(general_digraphs(min_n=2, max_n=5), st.integers(2, 5))
+    @given(
+        st.one_of(general_digraphs(min_n=2, max_n=5), disjoint_unions()),
+        st.integers(2, 8),
+    )
     def test_matches_naive_oracle_general(self, D, m):
         if m > D.n:
             return
         got = find_cycle_of_length(D, m)
         want = naive_find_cycle(D, m)
         assert (None if got is None else got.vertices) == want
+
+    @pytest.mark.parametrize("D", list(LINKED_CLUSTERS.values()), ids=list(LINKED_CLUSTERS))
+    def test_matches_naive_oracle_on_linked_clusters(self, D):
+        for m in range(2, D.n + 1):
+            got = find_cycle_of_length(D, m)
+            assert (None if got is None else got.vertices) == naive_find_cycle(D, m)
 
     @given(bipartite_digraphs(min_a=2, max_a=4))
     def test_witnesses_validate(self, D):
@@ -109,9 +161,16 @@ class TestSpectrum:
     def test_lengths_match_naive(self, D):
         assert cycle_spectrum(D).lengths() == naive_cycle_lengths(D)
 
-    @given(general_digraphs(min_n=1, max_n=5))
+    @given(st.one_of(general_digraphs(min_n=1, max_n=5), disjoint_unions()))
     def test_lengths_match_naive_general(self, D):
         assert cycle_spectrum(D).lengths() == naive_cycle_lengths(D)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_h_mm_up_to_the_cap(self, m):
+        # the longest cycle fills one cluster; nothing crosses back from B
+        D = h_mm(m)
+        assert cycle_spectrum(D).lengths() == tuple(range(2, m + 1))
+        assert longest_non_hamiltonian_cycle(D).length == m
 
 
 class TestHamiltonian:
@@ -122,6 +181,19 @@ class TestHamiltonian:
         assert not is_hamiltonian(d6())
         assert not is_hamiltonian(BipartiteDigraph(1, []))
 
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_h_m_m1_1_up_to_the_cap(self, m, mirrored):
+        assert not is_hamiltonian(h_m_m1_1(m, mirrored))
+
+    @pytest.mark.parametrize("src", ["x", "y"])
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_hall_deficient_up_to_the_cap(self, a, src):
+        D = hall_deficient(a, src)
+        assert find_cycle_of_length(D, 2 * a) is None
+        if a > 1:
+            assert find_cycle_of_length(D, 2 * a - 2) is not None
+
     def test_longest_non_hamiltonian(self):
         assert longest_non_hamiltonian_cycle(d8()).length == 6
         assert longest_non_hamiltonian_cycle(directed_cycle(4)) is None
@@ -130,6 +202,21 @@ class TestHamiltonian:
         assert str(got) == "x0 y0 x1 y1 x2 y2"
         with pytest.raises(TooLarge):
             longest_non_hamiltonian_cycle(complete_bipartite(13))
+
+
+class TestCycleCover:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(0, 7))
+        out = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+        allowed = data.draw(st.integers(0, 2**n - 1))
+        members = [v for v in range(n) if allowed >> v & 1]
+        want = any(
+            all(out[v] >> w & 1 for v, w in zip(members, image))
+            for image in permutations(members)
+        )
+        assert _has_cycle_cover(out, allowed) == want
 
 
 class TestValidators:

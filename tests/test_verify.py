@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -214,14 +215,26 @@ class TestIsoD8:
             )
 
 
-def _inline_pool(monkeypatch) -> list:
+def _inline_pool(monkeypatch) -> type:
     """Swap run_search's process pool for one that runs submitted calls
-    in-process on a 64-core machine; returns the requested pool sizes."""
-    started = []
+    in-process on a 64-core machine.
+
+    Returns the pool class: ``sizes`` lists the requested pool sizes, and
+    ``peak_in_flight`` is the most futures submitted but not yet read.
+    """
+    unread: set[Future] = set()
+
+    class Tracked(Future):
+        def result(self, timeout=None):
+            unread.discard(self)
+            return super().result(timeout)
 
     class InlinePool:
+        sizes: list[int] = []
+        peak_in_flight = 0
+
         def __init__(self, max_workers):
-            started.append(max_workers)
+            InlinePool.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -230,13 +243,15 @@ def _inline_pool(monkeypatch) -> list:
             return False
 
         def submit(self, fn, *args):
-            done = Future()
+            done = Tracked()
             done.set_result(fn(*args))
+            unread.add(done)
+            InlinePool.peak_in_flight = max(InlinePool.peak_in_flight, len(unread))
             return done
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-    return started
+    return InlinePool
 
 
 class TestSampling:
@@ -343,13 +358,66 @@ class TestSearch:
         assert 0 < satisfied < len(digraphs)
 
     def test_workers_clamped_before_pool_starts(self, monkeypatch):
-        started = _inline_pool(monkeypatch)
+        pool = _inline_pool(monkeypatch)
         report = run_search(self.CONFIG, workers=100_000)
-        assert started == [2]  # 600 samples make two blocks
+        assert pool.sizes == [2]  # 600 samples make two blocks
         assert report.render() == run_search(self.CONFIG).render()
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         run_search(self.CONFIG, workers=100_000)
-        assert started == [2]  # one usable core: no pool at all
+        assert pool.sizes == [2]  # one usable core: no pool at all
+
+    def test_blocks_stream_in_order(self, monkeypatch):
+        # A stand-in block names itself, so the report lists blocks in the
+        # order they were reduced.
+        def fake_block(target, a, p, seed, start, stop):
+            return 1, [(a, p, start)]
+
+        monkeypatch.setattr(verify, "_run_block", fake_block)
+        config = SearchConfig(
+            SearchTarget.T1_8, a_values=(4, 5, 6), p_values=(0.3, 0.5, 0.7),
+            samples=20 * verify._BLOCK - 7,
+        )
+        expected = tuple(
+            (a, p, start)
+            for a in config.a_values
+            for p in config.p_values
+            for start in range(0, config.samples, verify._BLOCK)
+        )
+        serial = run_search(config)
+        pool = _inline_pool(monkeypatch)
+        pooled = run_search(config, workers=3)
+        assert pool.sizes == [3]
+        assert pool.peak_in_flight == 6  # two blocks per worker, 180 in all
+        assert serial.violations == pooled.violations == expected
+        assert serial.cells == pooled.cells
+        for cell in serial.cells:
+            assert cell.samples == config.samples
+            assert cell.satisfying == cell.violations == 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_are_planned_lazily(self, monkeypatch, workers):
+        # At the sample cap a 3 x 10 grid has 585,960 blocks; the first one
+        # must run before the rest are planned.
+        class FirstBlock(Exception):
+            pass
+
+        def fail(*block):
+            raise FirstBlock
+
+        monkeypatch.setattr(verify, "_run_block", fail)
+        _inline_pool(monkeypatch)
+        config = SearchConfig(
+            SearchTarget.T1_8, a_values=(4, 5, 6),
+            p_values=tuple(k / 10 for k in range(1, 11)), samples=MAX_SAMPLES,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                run_search(config, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_violation_path(self, monkeypatch, capsys, tmp_path):
         # No shipped claim ever fails, so a stand-in evaluator flags every
@@ -421,9 +489,10 @@ class TestSearch:
                 config.seed, v.a, v.p, v.sample_index
             )
 
-        started = _inline_pool(monkeypatch)
+        pool = _inline_pool(monkeypatch)
         pooled = run_search(config, workers=2)
-        assert started == [2]  # two cells of two blocks each
+        assert pool.sizes == [2]  # two cells of two blocks each
+        assert pool.peak_in_flight == 4
         assert pooled.violations == report.violations
         assert pooled.cells == report.cells
         assert pooled.render() == report.render()
