@@ -14,11 +14,11 @@ short-circuiting test over the same clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .cycles import find_cycle_of_length
+from .cycles import Cycle, find_cycle_of_length
 from .digraph import BipartiteDigraph, Digraph, DominatingPair
 from .errors import BadParams
 
@@ -159,6 +159,9 @@ class HypothesisReport:
 
     theorem: Theorem
     failures: tuple[str, ...]
+    # The cycle claim 1.9's premise clause found, so that the verdict's
+    # certificate reuses it rather than searching for it again.
+    _premise: Cycle | None = field(default=None, repr=False, compare=False)
 
     @property
     def satisfied(self) -> bool:
@@ -166,8 +169,9 @@ class HypothesisReport:
 
 
 # A hypothesis clause: a cheap predicate plus a builder for its failure
-# message, which runs only when the predicate fails.
-_Clause = tuple[Callable[[BipartiteDigraph], bool], Callable[[BipartiteDigraph], str]]
+# message, which runs only when the predicate fails.  A predicate holds when
+# its value is truthy; claim 1.9's premise returns the cycle it found.
+_Clause = tuple[Callable[[BipartiteDigraph], object], Callable[[BipartiteDigraph], str]]
 
 
 def _order(min_side: int) -> _Clause:
@@ -203,7 +207,7 @@ def _explain_two_sided(D: BipartiteDigraph) -> str:
 _STRONG: _Clause = (Digraph.is_strong, lambda D: "connectivity: not strongly connected")
 _TWO_SIDED: _Clause = (lambda D: check_two_sided_condition(D)[0], _explain_two_sided)
 _PREMISE: _Clause = (
-    lambda D: D.a < 2 or find_cycle_of_length(D, 2 * D.a - 2) is not None,
+    lambda D: D.a < 2 or find_cycle_of_length(D, 2 * D.a - 2),
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
 )
 _NOT_DIRECTED_CYCLE: _Clause = (
@@ -231,18 +235,32 @@ def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
     (1.10 only).
     """
     if not isinstance(D, BipartiteDigraph):
-        failures: tuple[str, ...] = ("structure: not a balanced bipartite digraph",)
-    else:
-        failures = tuple(explain(D) for holds, explain in _CLAUSES[theorem] if not holds(D))
-    return HypothesisReport(theorem=theorem, failures=failures)
+        return HypothesisReport(theorem, ("structure: not a balanced bipartite digraph",))
+    failures = []
+    premise = None
+    for holds, explain in _CLAUSES[theorem]:
+        held = holds(D)
+        if not held:
+            failures.append(explain(D))
+        elif isinstance(held, Cycle):
+            premise = held
+    return HypothesisReport(theorem, tuple(failures), premise)
+
+
+def _hold_with_premise(D: BipartiteDigraph, theorem: Theorem) -> tuple[bool, Cycle | None]:
+    """hypotheses_hold on a bipartite input, with the premise cycle its
+    clauses found (claim 1.9), or None."""
+    premise = None
+    for holds, _ in _CLAUSES[theorem]:
+        held = holds(D)
+        if not held:
+            return False, None
+        if isinstance(held, Cycle):
+            premise = held
+    return True, premise
 
 
 def hypotheses_hold(D: Digraph, theorem: Theorem) -> bool:
     """check_theorem_hypotheses(D, theorem).satisfied, stopping at the first
     failing clause and building no messages."""
-    if not isinstance(D, BipartiteDigraph):
-        return False
-    for holds, _ in _CLAUSES[theorem]:
-        if not holds(D):
-            return False
-    return True
+    return isinstance(D, BipartiteDigraph) and _hold_with_premise(D, theorem)[0]

@@ -33,13 +33,15 @@ from typing import Callable, Iterable, Iterator
 from .conditions import (
     HypothesisReport,
     Theorem,
+    _hold_with_premise,
     bk_holds,
     check_theorem_hypotheses,
-    hypotheses_hold,
 )
 from .cycles import (
     Cycle,
-    cycles_through_vertex,
+    _find_cycle_indices,
+    _ladder,
+    check_cycle,
     find_bypass,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
@@ -51,7 +53,7 @@ from .digraph import (
     random_bipartite,
     serialize,
 )
-from .errors import BadConfig, WitnessNotFound
+from .errors import BadConfig
 from . import families
 
 
@@ -175,11 +177,14 @@ def _d8_or_violation(D: BipartiteDigraph, claim: str) -> Conclusion:
     return _violation(claim, D)
 
 
-def _certificate(D: BipartiteDigraph, top: int) -> Conclusion:
-    """Witness every even length 2..top or report the first missing one."""
+def _certificate(D: BipartiteDigraph, top: int, top_cycle: Cycle | None = None) -> Conclusion:
+    """Witness every even length 2..top or report the first missing one.
+
+    top_cycle, when given, is the top length's witness, already found.
+    """
     witnesses = []
     for m in range(2, top + 1, 2):
-        cycle = find_cycle_of_length(D, m)
+        cycle = top_cycle if m == top and top_cycle is not None else find_cycle_of_length(D, m)
         if cycle is None:
             return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)", D)
         witnesses.append((m, cycle))
@@ -214,13 +219,14 @@ def _conclude_1_10(D: BipartiteDigraph) -> Conclusion:
     return _d8_or_violation(D, conclusion.claim + "; not the 8-vertex exception")
 
 
-# Each claim's conclusion routine, run only on inputs that meet its hypotheses.
-_CONCLUSIONS: dict[Theorem, Callable[[BipartiteDigraph], Conclusion]] = {
-    Theorem.T1_6: lambda D: _certificate(D, 2 * D.a),
-    Theorem.T1_7: _conclude_1_7,
-    Theorem.T1_8: _conclude_1_8,
-    Theorem.T1_9: lambda D: _certificate(D, 2 * D.a - 2),
-    Theorem.T1_10: _conclude_1_10,
+# Each claim's conclusion routine, run only on inputs that meet its
+# hypotheses, with the premise cycle those found (claim 1.9's) or None.
+_CONCLUSIONS: dict[Theorem, Callable[[BipartiteDigraph, Cycle | None], Conclusion]] = {
+    Theorem.T1_6: lambda D, _: _certificate(D, 2 * D.a),
+    Theorem.T1_7: lambda D, _: _conclude_1_7(D),
+    Theorem.T1_8: lambda D, _: _conclude_1_8(D),
+    Theorem.T1_9: lambda D, premise: _certificate(D, 2 * D.a - 2, premise),
+    Theorem.T1_10: lambda D, _: _conclude_1_10(D),
 }
 
 
@@ -230,7 +236,7 @@ def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
     if not hyp.satisfied:
         return TheoremVerdict(theorem, hyp, None)
     assert isinstance(D, BipartiteDigraph)
-    return TheoremVerdict(theorem, hyp, _CONCLUSIONS[theorem](D))
+    return TheoremVerdict(theorem, hyp, _CONCLUSIONS[theorem](D, hyp._premise))
 
 
 # -- isomorphism to the 8-vertex exception ----------------------------------------
@@ -491,9 +497,10 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
 
 
 def _eval_claim(theorem: Theorem, D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if not hypotheses_hold(D, theorem):
+    held, premise = _hold_with_premise(D, theorem)
+    if not held:
         return 0, []
-    conclusion = _CONCLUSIONS[theorem](D)
+    conclusion = _CONCLUSIONS[theorem](D, premise)
     if conclusion.kind == "violation":
         return 1, [f"claim {theorem.value}: {conclusion.claim}"]
     return 1, []
@@ -528,22 +535,42 @@ def _eval_l3_4(D: BipartiteDigraph) -> tuple[int, list[str]]:
 
 
 def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
+    """Lemma 3.3 on index masks: for each cycle length 2b < 2a, the least
+    2b-cycle and any vertex off it with >= b + 1 arcs to it form one unit,
+    whose ladder (``_ladder``, cycles_through_vertex's core) must reach 2b.
+
+    check_cycle re-checks each cycle that has a unit, once per cycle rather
+    than once per unit.  A missing rung gives the claim text of the
+    WitnessNotFound that cycles_through_vertex would raise.
+    """
+    out, inn = D._out, D._in
     satisfying = 0
     claims: list[str] = []
     for b in range(1, D.a):  # cycle length 2b <= 2a - 2 < order
-        C = find_cycle_of_length(D, 2 * b)
-        if C is None:
+        hit = _find_cycle_indices(D, 2 * b)
+        if hit is None:
             continue
-        for x in D.vertices():
-            if x in C.vertices:
-                continue
-            if D.restricted_degree(x, C.vertices) < b + 1:
-                continue
-            satisfying += 1
-            try:
-                cycles_through_vertex(D, C, x)
-            except WitnessNotFound as exc:
-                claims.append(f"claim 3.3: {exc}")
+        cmask = 0
+        for i in hit:
+            cmask |= 1 << i
+        units = [
+            x
+            for x in range(D.n)
+            if not cmask >> x & 1
+            and (out[x] & cmask).bit_count() + (inn[x] & cmask).bit_count() > b
+        ]
+        if not units:
+            continue
+        check_cycle(D, [D._vertex(i) for i in hit])
+        satisfying += len(units)
+        for x in units:
+            for m, cycle in _ladder(out, inn, x, cmask | 1 << x):
+                if cycle is None:
+                    claims.append(
+                        f"claim 3.3: no cycle of length {m} through {D._vertex(x)}"
+                        " within the cycle vertices"
+                    )
+                    break
     return satisfying, claims
 
 

@@ -11,6 +11,7 @@ import pytest
 from bipancyclic import (
     BipartiteDigraph,
     Conclusion,
+    SearchTarget,
     Theorem,
     TheoremVerdict,
     check_theorem_hypotheses,
@@ -268,6 +269,20 @@ class TestCertifyGoldens:
             rc, out, _ = run_cli(capsys, "certify", "--theorem", "1.10", d8_file, *extra)
             assert rc == 2
             assert out == (GOLDEN / f"certify-violation{suffix}.txt").read_text()
+
+
+SEARCH_GRID = ("--a", "4", "5", "--p", "0.5", "0.9", "--samples", "40", "--seed", "3")
+
+
+class TestSearchGoldens:
+    """search text and --json, byte for byte, one golden pair per target."""
+
+    @pytest.mark.parametrize("target", [t.value for t in SearchTarget])
+    def test_matches_golden(self, capsys, target):
+        for suffix, extra in (("", ()), ("-json", ("--json",))):
+            rc, out, _ = run_cli(capsys, "search", "--target", target, *SEARCH_GRID, *extra)
+            assert rc == 0
+            assert out == (GOLDEN / f"search-{target}{suffix}.txt").read_text()
 
 
 class TestSearch:

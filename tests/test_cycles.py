@@ -29,7 +29,12 @@ from bipancyclic.errors import (
     TooLarge,
 )
 from bipancyclic.families import h_2m, h_m_m1_1, h_mm
-from bipancyclic.naive import naive_bypasses, naive_cycle_lengths, naive_find_cycle
+from bipancyclic.naive import (
+    naive_bypasses,
+    naive_cycle_lengths,
+    naive_cycles,
+    naive_find_cycle,
+)
 
 from test_digraph import bipartite_digraphs, general_digraphs
 
@@ -319,6 +324,36 @@ class TestCyclesThroughVertex:
         C = check_cycle(D, ["x0", "y0", "x1", "y1", "x2", "y2"])
         with pytest.raises(PreconditionUnmet):
             cycles_through_vertex(D, C, "x0")
+
+    @given(bipartite_digraphs(min_a=2, max_a=5))
+    @settings(max_examples=150)
+    def test_ladder_matches_naive_oracle(self, D):
+        # Each witness is the least m-cycle through x inside V(C) + {x} when
+        # read from x, then rotated to start at its least vertex.
+        for b in range(1, D.a):
+            C = find_cycle_of_length(D, 2 * b)
+            if C is None:
+                continue
+            for x in D.vertices():
+                if x in C or D.restricted_degree(x, C.vertices) <= b:
+                    continue
+                keep = set(C.vertices) | {x}
+                sub = BipartiteDigraph(
+                    D.a, [(u, w) for u, w in D.arcs() if u in keep and w in keep]
+                )
+                from_x = {}
+                for cycle in naive_cycles(sub, max_len=2 * b):
+                    if x in cycle:
+                        k = cycle.index(x)
+                        seq = cycle[k:] + cycle[:k]
+                        m = len(seq)
+                        from_x[m] = min(from_x.get(m, seq), seq)
+                expected = {}
+                for m, seq in from_x.items():
+                    k = seq.index(min(seq))
+                    expected[m] = seq[k:] + seq[:k]
+                found = cycles_through_vertex(D, C, x)
+                assert {m: c.vertices for m, c in found.items()} == expected
 
     def test_y_side_vertex(self):
         D = complete_bipartite(4)

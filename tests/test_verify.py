@@ -21,8 +21,10 @@ from bipancyclic import (
     check_cycle,
     check_theorem_hypotheses,
     complete_bipartite,
+    cycles_through_vertex,
     d8,
     directed_cycle,
+    find_cycle_of_length,
     hypotheses_hold,
     iso_to_D8,
     parse,
@@ -33,9 +35,9 @@ from bipancyclic import (
     verify_theorem,
     write_violations,
 )
-from bipancyclic.errors import BadConfig
+from bipancyclic.errors import BadConfig, WitnessNotFound
 from bipancyclic.naive import naive_isomorphism
-from bipancyclic import cli, verify
+from bipancyclic import cli, conditions, cycles, verify
 from bipancyclic.verify import MAX_SAMPLES, _certificate
 
 from test_digraph import bipartite_digraphs
@@ -497,6 +499,23 @@ class TestSearch:
         assert pooled.cells == report.cells
         assert pooled.render() == report.render()
 
+    def test_claim_1_9_reuses_its_premise_cycle(self, monkeypatch):
+        # the premise's (2a - 2)-cycle is the certificate's top witness, found once
+        calls = {"conditions": 0, "verify": 0}
+        for module in (conditions, verify):
+            def counted(D, m, find=module.find_cycle_of_length, key=module.__name__):
+                calls[key.rsplit(".", 1)[1]] += 1
+                return find(D, m)
+
+            monkeypatch.setattr(module, "find_cycle_of_length", counted)
+        report = run_search(SearchConfig(SearchTarget.T1_9, samples=200, seed=1))
+        assert report.hypothesis_satisfying == 69
+        assert calls == {"conditions": 69, "verify": 146}
+        calls.update(conditions=0, verify=0)
+        verdict = verify_theorem(complete_bipartite(4), Theorem.T1_9)
+        assert verdict.conclusion.lengths() == (2, 4, 6)
+        assert calls == {"conditions": 1, "verify": 2}
+
     def test_lemma_targets_run_clean(self):
         for target in (SearchTarget.L3_2, SearchTarget.L3_3, SearchTarget.L3_4):
             r = run_search(
@@ -504,6 +523,83 @@ class TestSearch:
             )
             assert r.violations == ()
             assert r.samples_run == 200
+
+
+def _eval_l3_3_public(D):
+    """Lemma 3.3's search evaluator rebuilt from public calls only."""
+    satisfying = 0
+    claims = []
+    for b in range(1, D.a):
+        C = find_cycle_of_length(D, 2 * b)
+        if C is None:
+            continue
+        for x in D.vertices():
+            if x in C.vertices or D.restricted_degree(x, C.vertices) < b + 1:
+                continue
+            satisfying += 1
+            try:
+                cycles_through_vertex(D, C, x)
+            except WitnessNotFound as exc:
+                claims.append(f"claim 3.3: {exc}")
+    return satisfying, claims
+
+
+class TestLemma33Evaluator:
+    SAMPLES = [
+        sample_digraph(5, a, p, i)
+        for a in range(2, 8)
+        for p in (0.2, 0.4, 0.6, 0.8, 0.9)
+        for i in range(12)
+    ]
+
+    def test_matches_public_rebuild(self):
+        units = 0
+        for D in self.SAMPLES:
+            got = verify._eval_l3_3(D)
+            assert got == _eval_l3_3_public(D)
+            units += got[0]
+        assert units > 1000
+
+    def test_checks_each_used_cycle_once(self, monkeypatch):
+        checked = []
+
+        def recording(D, vertices):
+            checked.append(tuple(vertices))
+            return check_cycle(D, vertices)
+
+        monkeypatch.setattr(verify, "check_cycle", recording)
+        for D in self.SAMPLES:
+            checked.clear()
+            verify._eval_l3_3(D)
+            used = []
+            for b in range(1, D.a):
+                C = find_cycle_of_length(D, 2 * b)
+                if C is not None and any(
+                    x not in C and D.restricted_degree(x, C.vertices) > b
+                    for x in D.vertices()
+                ):
+                    used.append(C.vertices)
+            assert checked == used
+
+    def test_missing_rung_claim_text(self, monkeypatch):
+        # A ladder core missing every rung from 4 up: the evaluator reports
+        # each ladder's first gap with the text the public path builds from
+        # WitnessNotFound.
+        ladder = cycles._ladder
+
+        def broken(out, inn, x, allowed):
+            for m, hit in ladder(out, inn, x, allowed):
+                yield m, None if m >= 4 else hit
+
+        monkeypatch.setattr(cycles, "_ladder", broken)
+        monkeypatch.setattr(verify, "_ladder", broken)
+        D = complete_bipartite(4)
+        got = verify._eval_l3_3(D)
+        assert got == _eval_l3_3_public(D)
+        # units: the 2-cycle with 6 off-cycle vertices, the 4- and 6-cycles
+        # with 4 and 2; the 6 ladders that reach length 4 each give one claim
+        assert got[0] == 12 and len(got[1]) == 6
+        assert got[1][0] == "claim 3.3: no cycle of length 4 through x2 within the cycle vertices"
 
 
 class TestViolationFiles:
