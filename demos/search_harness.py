@@ -12,14 +12,14 @@ satisfying instances that were actually exercised.
 
 from bipancyclic import (
     SearchConfig,
-    SearchTarget,
+    Theorem,
     run_search,
     sample_digraph,
     serialize,
 )
 
 # a small sweep over two of the supporting statements and one claim
-for target in (SearchTarget.T1_9, SearchTarget.L3_2, SearchTarget.L3_3):
+for target in (Theorem.T1_9, Theorem.L3_2, Theorem.L3_3):
     config = SearchConfig(
         target=target,
         a_values=(4, 5),

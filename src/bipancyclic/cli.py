@@ -29,7 +29,6 @@ from .errors import DigraphError
 from .families import Family, FamilySpec, generate
 from .verify import (
     SearchConfig,
-    SearchTarget,
     TheoremVerdict,
     iso_to_D8,
     run_search,
@@ -96,7 +95,7 @@ def _build_parser() -> _Parser:
 
     search = sub.add_parser("search", help="seeded randomized counterexample search")
     search.add_argument(
-        "--target", required=True, choices=[t.value for t in SearchTarget]
+        "--target", required=True, choices=[t.value for t in Theorem]
     )
     search.add_argument("--a", type=int, nargs="+", default=[4, 5, 6], help="side sizes")
     search.add_argument(
@@ -311,7 +310,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     config = SearchConfig(
-        target=SearchTarget(args.target),
+        target=Theorem(args.target),
         a_values=tuple(args.a),
         p_values=tuple(args.p),
         samples=args.samples,

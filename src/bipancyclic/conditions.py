@@ -5,11 +5,12 @@ every pair of vertices with a common out-neighbor must contain one vertex of
 total degree >= 2a - 2 + k, where a is the side size.  It is monotone in k
 (B_{k+1} implies B_k) and holds vacuously when no dominating pair exists.
 
-The claim catalog below numbers five statements about strongly connected
-balanced bipartite digraphs; each Theorem member's docstring states its claim
-in full.  check_theorem_hypotheses evaluates every hypothesis clause of one
-claim and reports all failures, not just the first; hypotheses_hold is the
-short-circuiting test over the same clauses.
+The statement catalog below numbers eight statements about balanced
+bipartite digraphs: claims 1.6-1.10 and the lemmas 3.2-3.4 their proofs use.
+The Theorem docstring states each in full.  check_theorem_hypotheses
+evaluates every hypothesis clause of one statement and reports all failures,
+not just the first; hypotheses_hold is the short-circuiting test over the
+same clauses.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .cycles import Cycle, find_cycle_of_length
+from .cycles import Cycle, find_bypass, find_cycle_of_length, longest_non_hamiltonian_cycle
 from .digraph import BipartiteDigraph, Digraph, DominatingPair
 from .errors import BadParams
 
 
 class Theorem(Enum):
-    """Catalog of verifiable claims, keyed by the identifiers the CLI accepts.
+    """Catalog of statements, keyed by the identifiers the CLI accepts.
 
-    All claims quantify over strongly connected balanced bipartite digraphs
-    with side size a.
+    Claims 1.6-1.10 quantify over strongly connected balanced bipartite
+    digraphs with side size a; so do lemmas 3.2 and 3.4.
 
     T1_6: if every dominating pair {u, v} has d(u) >= 2a - 1 and d(v) >= a + 1
           (in one of the two orderings), the digraph has cycles of every even
@@ -41,6 +42,16 @@ class Theorem(Enum):
     T1_10: if a >= 4, B_1 holds, and the digraph is not a directed cycle, it
            has cycles of every even length 2..2a or is the same 8-vertex
            exception as in T1_7.
+    L3_2: if a >= 4, B_0 holds, and the digraph is not a directed cycle, its
+          longest non-Hamiltonian cycle has length >= 4.
+    L3_3: in any balanced bipartite digraph, if C is a cycle of length 2b and
+          a vertex x off C has at least b + 1 arcs between it and V(C), both
+          directions counted, then the subdigraph on V(C) + {x} has cycles
+          through x of every even length 2..2b.  Its unit is a (cycle,
+          vertex) pair, not a digraph, so only the search replays it: for
+          each 2b < 2a, the lex-least 2b-cycle with each qualifying x.
+    L3_4: if a >= 4, B_0 holds, and the longest non-Hamiltonian cycle C has
+          length >= 4 and a bypass of gap 1, then C has length 2a - 2.
     """
 
     # Members are singletons compared by identity, so the identity hash is
@@ -53,6 +64,9 @@ class Theorem(Enum):
     T1_8 = "1.8"
     T1_9 = "1.9"
     T1_10 = "1.10"
+    L3_2 = "3.2"
+    L3_3 = "3.3"
+    L3_4 = "3.4"
 
 
 @dataclass(frozen=True)
@@ -159,8 +173,8 @@ class HypothesisReport:
 
     theorem: Theorem
     failures: tuple[str, ...]
-    # The cycle claim 1.9's premise clause found, so that the verdict's
-    # certificate reuses it rather than searching for it again.
+    # The cycle a premise clause found (claim 1.9's, lemma 3.4's), so that
+    # the conclusion reuses it rather than searching for it again.
     _premise: Cycle | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -170,7 +184,7 @@ class HypothesisReport:
 
 # A hypothesis clause: a cheap predicate plus a builder for its failure
 # message, which runs only when the predicate fails.  A predicate holds when
-# its value is truthy; claim 1.9's premise returns the cycle it found.
+# its value is truthy; a premise clause returns the cycle it found.
 _Clause = tuple[Callable[[BipartiteDigraph], object], Callable[[BipartiteDigraph], str]]
 
 
@@ -210,29 +224,53 @@ _PREMISE: _Clause = (
     lambda D: D.a < 2 or find_cycle_of_length(D, 2 * D.a - 2),
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
 )
+
+
+def _bypassed_longest(D: BipartiteDigraph) -> Cycle | None:
+    """The longest non-Hamiltonian cycle when it has length >= 4 and a
+    gap-1 bypass (the least bypass has the least gap), else None."""
+    C = longest_non_hamiltonian_cycle(D)
+    if C is None or C.length < 4:
+        return None
+    bypass = find_bypass(D, C)
+    return C if bypass is not None and bypass.gap == 1 else None
+
+
+_BYPASS_PREMISE: _Clause = (
+    _bypassed_longest,
+    lambda D: "cycle premise: no longest non-Hamiltonian cycle of length >= 4"
+    " with a gap-1 bypass",
+)
 _NOT_DIRECTED_CYCLE: _Clause = (
     lambda D: not D.is_directed_cycle(),
     lambda D: "shape: the digraph is a directed cycle",
 )
 
-# Each claim's hypotheses on a balanced bipartite input, in report order.
+# Each statement's hypotheses on a balanced bipartite input, in report order.
+# Lemma 3.3's hypotheses hold per (cycle, vertex) unit, so its row is empty.
 _CLAUSES: dict[Theorem, tuple[_Clause, ...]] = {
     Theorem.T1_6: (_STRONG, _order(1), _TWO_SIDED),
     Theorem.T1_7: (_STRONG, _order(4), _bk(1)),
     Theorem.T1_8: (_STRONG, _order(4), _bk(1)),
     Theorem.T1_9: (_STRONG, _order(4), _bk(0), _PREMISE),
     Theorem.T1_10: (_STRONG, _order(4), _bk(1), _NOT_DIRECTED_CYCLE),
+    Theorem.L3_2: (_STRONG, _order(4), _bk(0), _NOT_DIRECTED_CYCLE),
+    Theorem.L3_3: (),
+    Theorem.L3_4: (_STRONG, _order(4), _bk(0), _BYPASS_PREMISE),
 }
 
 
 def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
-    """Evaluate every hypothesis clause of one claim; collect all failures.
+    """Evaluate every hypothesis clause of one statement; collect all failures.
 
     Clauses common to the catalog: balanced bipartite structure, strong
-    connectivity, minimum side size.  Claim-specific clauses: the degree
+    connectivity, minimum side size.  Statement-specific clauses: the degree
     condition (two-sided for 1.6, margin 1 or 0 otherwise), existence of a
-    cycle of length 2a - 2 (1.9 only), and not being a directed cycle
-    (1.10 only).
+    cycle of length 2a - 2 (1.9), a longest non-Hamiltonian cycle of length
+    >= 4 with a gap-1 bypass (3.4), and not being a directed cycle (1.10,
+    3.2).  Lemma 3.3 has no clause on the digraph, so every bipartite input
+    satisfies it here.  Raises TooLarge for lemma 3.4 above the longest-cycle
+    scan's order cap.
     """
     if not isinstance(D, BipartiteDigraph):
         return HypothesisReport(theorem, ("structure: not a balanced bipartite digraph",))
@@ -249,7 +287,7 @@ def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
 
 def _hold_with_premise(D: BipartiteDigraph, theorem: Theorem) -> tuple[bool, Cycle | None]:
     """hypotheses_hold on a bipartite input, with the premise cycle its
-    clauses found (claim 1.9), or None."""
+    clauses found (claim 1.9, lemma 3.4), or None."""
     premise = None
     for holds, _ in _CLAUSES[theorem]:
         held = holds(D)

@@ -1,16 +1,17 @@
 """Executable verdicts with certificates, the 8-vertex-exception isomorphism
 test, and a seeded randomized counterexample search.
 
-A verdict evaluates one catalog claim (see conditions.Theorem) on one input:
-it reports which hypothesis clauses fail, and when they all hold it runs the
-claim's conclusion routine, which returns one Conclusion: a checkable witness
-or a violation.  A violation is a reproducible counterexample package (claim
-text plus the digraph's canonical serialization); for the claims shipped here
-none is expected to ever appear, and the test suite treats one as a loud
-failure.
+A verdict evaluates one catalog statement (see conditions.Theorem) on one
+input: it reports which hypothesis clauses fail, and when they all hold it
+runs the statement's conclusion routine, which returns one Conclusion: a
+checkable witness or a violation.  A violation is a reproducible
+counterexample package (claim text plus the digraph's canonical
+serialization); for the statements shipped here none is expected to ever
+appear, and the test suite treats one as a loud failure.  Lemma 3.3 has no
+verdict: its unit is a (cycle, vertex) pair, so only the search replays it.
 
 The search harness samples seeded random digraphs over an (a, p) grid,
-filters to hypothesis-satisfying ones, and replays the selected claim on
+filters to hypothesis-satisfying ones, and replays the selected statement on
 each.  Every sample's seed is a pure function of (config seed, a, p, sample
 index), so reports are reproducible count-for-count regardless of worker
 count or platform.
@@ -24,7 +25,6 @@ import time
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from enum import Enum
 from functools import partial
 from itertools import permutations
 from pathlib import Path
@@ -34,7 +34,6 @@ from .conditions import (
     HypothesisReport,
     Theorem,
     _hold_with_premise,
-    bk_holds,
     check_theorem_hypotheses,
 )
 from .cycles import (
@@ -42,7 +41,6 @@ from .cycles import (
     _find_cycle_indices,
     _ladder,
     check_cycle,
-    find_bypass,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
 )
@@ -53,7 +51,7 @@ from .digraph import (
     random_bipartite,
     serialize,
 )
-from .errors import BadConfig
+from .errors import BadConfig, BadParams
 from . import families
 
 
@@ -80,11 +78,11 @@ class IsomorphismWitness:
 
 @dataclass(frozen=True)
 class Conclusion:
-    """What a verdict concludes once a claim's hypotheses hold.
+    """What a verdict concludes once a statement's hypotheses hold.
 
     kind is the tag the JSON output carries:
       pancyclic-certificate  cycles holds one witness per even length, ascending;
-      hamiltonian, directed-cycle, two-below-full-cycle
+      hamiltonian, directed-cycle, two-below-full-cycle, non-hamiltonian-cycle
                              cycles holds the single witness;
       d8-isomorphism         isomorphism maps the input onto the exception;
       violation              claim names what failed and serialization is the
@@ -122,6 +120,8 @@ class Conclusion:
         headline = {
             "hamiltonian": "Hamiltonian",
             "directed-cycle": "the digraph is a directed cycle",
+            "non-hamiltonian-cycle": "longest non-Hamiltonian cycle of length"
+            f" {self.cycle.length}",
         }.get(self.kind, f"cycle of length {self.cycle.length}")
         return [f"conclusion: {headline}", f"cycle: {self.cycle}"]
 
@@ -139,7 +139,7 @@ class Conclusion:
         if self.kind == "violation":
             return {"kind": self.kind, "claim": self.claim, "counterexample": self.serialization}
         payload = {"kind": self.kind, "cycle": str(self.cycle)}
-        if self.kind == "two-below-full-cycle":
+        if self.kind in ("two-below-full-cycle", "non-hamiltonian-cycle"):
             payload["length"] = self.cycle.length
         return payload
 
@@ -219,19 +219,52 @@ def _conclude_1_10(D: BipartiteDigraph) -> Conclusion:
     return _d8_or_violation(D, conclusion.claim + "; not the 8-vertex exception")
 
 
-# Each claim's conclusion routine, run only on inputs that meet its
-# hypotheses, with the premise cycle those found (claim 1.9's) or None.
+def _conclude_3_2(D: BipartiteDigraph) -> Conclusion:
+    """The longest non-Hamiltonian cycle, of length >= 4."""
+    cycle = longest_non_hamiltonian_cycle(D)
+    if cycle is not None and cycle.length >= 4:
+        return _single("non-hamiltonian-cycle", cycle)
+    return _violation("no non-Hamiltonian cycle of length >= 4", D)
+
+
+def _conclude_3_4(D: BipartiteDigraph, cycle: Cycle) -> Conclusion:
+    """The premise's bypassed longest non-Hamiltonian cycle has length 2a - 2."""
+    if cycle.length == 2 * D.a - 2:
+        return _single("two-below-full-cycle", cycle)
+    return _violation(
+        f"gap-1 bypass on a longest non-Hamiltonian cycle of length {cycle.length},"
+        f" expected {2 * D.a - 2}",
+        D,
+    )
+
+
+# Each statement's conclusion routine, run only on inputs that meet its
+# hypotheses, with the premise cycle those found (1.9's, 3.4's) or None.
+# Lemma 3.3 has none: its unit is not a digraph (see _eval_l3_3).
 _CONCLUSIONS: dict[Theorem, Callable[[BipartiteDigraph, Cycle | None], Conclusion]] = {
     Theorem.T1_6: lambda D, _: _certificate(D, 2 * D.a),
     Theorem.T1_7: lambda D, _: _conclude_1_7(D),
     Theorem.T1_8: lambda D, _: _conclude_1_8(D),
     Theorem.T1_9: lambda D, premise: _certificate(D, 2 * D.a - 2, premise),
     Theorem.T1_10: lambda D, _: _conclude_1_10(D),
+    Theorem.L3_2: lambda D, _: _conclude_3_2(D),
+    Theorem.L3_4: _conclude_3_4,
 }
 
 
 def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
-    """Check one catalog claim's hypotheses and, when they hold, its conclusion."""
+    """Check one catalog statement's hypotheses and, when they hold, its
+    conclusion.
+
+    Raises BadParams for lemma 3.3, which has no per-digraph verdict (search
+    replays it), and TooLarge for lemmas 3.2 and 3.4 above the longest-cycle
+    scan's order cap.
+    """
+    if theorem not in _CONCLUSIONS:
+        raise BadParams(
+            f"{theorem.value} is stated per (cycle, vertex) pair, not per digraph;"
+            f" replay it with search --target {theorem.value}"
+        )
     hyp = check_theorem_hypotheses(D, theorem)
     if not hyp.satisfied:
         return TheoremVerdict(theorem, hyp, None)
@@ -319,20 +352,9 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
 # -- randomized counterexample search ----------------------------------------------
 
 
-class SearchTarget(Enum):
-    """What the search replays on each hypothesis-satisfying sample.
-
-    The 1.x members replay catalog claims; the 3.x members replay the
-    supporting statements used in their proofs (long non-Hamiltonian cycles,
-    gap-1 bypass length forcing, and the cycles-through-a-vertex ladder).
-    """
-
-    T1_8 = "1.8"
-    T1_9 = "1.9"
-    T1_10 = "1.10"
-    L3_2 = "3.2"
-    L3_3 = "3.3"
-    L3_4 = "3.4"
+# The search's former name for its targets, now every Theorem member.  Kept
+# because bench/searchload.py still calls SearchTarget("1.9") and ("3.3").
+SearchTarget = Theorem
 
 
 # Largest per-cell sample count: thirty times the acceptance gate's largest run.
@@ -348,23 +370,31 @@ class SearchConfig:
     64 bits, so any single sample can be regenerated in isolation.
     """
 
-    target: SearchTarget
+    target: Theorem
     a_values: tuple[int, ...] = (4, 5, 6)
     p_values: tuple[float, ...] = (0.3, 0.5, 0.7)
     samples: int = 1000
     seed: int = 0
 
     def validate(self) -> None:
+        if not isinstance(self.target, Theorem):
+            raise BadConfig(f"target must be a Theorem member, got {self.target!r}")
         if not self.a_values:
             raise BadConfig("need at least one side size")
         if not self.p_values:
             raise BadConfig("need at least one arc probability")
         for a in self.a_values:
+            if not isinstance(a, int):
+                raise BadConfig(f"side size must be an int, got {a!r}")
             if not 1 <= a <= 12:
                 raise BadConfig(f"side size must be in [1, 12], got {a}")
         for p in self.p_values:
+            if not isinstance(p, (int, float)):
+                raise BadConfig(f"arc probability must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise BadConfig(f"arc probability must be in [0, 1], got {p}")
+        if not isinstance(self.samples, int):
+            raise BadConfig(f"sample count must be an int, got {self.samples!r}")
         if not 0 <= self.samples <= MAX_SAMPLES:
             raise BadConfig(
                 f"sample count must be in [0, {MAX_SAMPLES}], got {self.samples}"
@@ -389,7 +419,7 @@ class CellStats:
 class ViolationRecord:
     """Everything needed to replay one found counterexample."""
 
-    target: SearchTarget
+    target: Theorem
     a: int
     p: float
     sample_index: int
@@ -491,8 +521,8 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
     return random_bipartite(a, p, sample_seed(seed, a, p, index))
 
 
-# Per-target evaluation: returns (satisfying units, violation claims).  A
-# catalog-claim target tests the hypotheses with the same clauses certify
+# Per-target evaluation: returns (satisfying units, violation claims).  Every
+# target but lemma 3.3 tests the hypotheses with the same clauses certify
 # reports on, then runs the same conclusion routine certify runs.
 
 
@@ -504,34 +534,6 @@ def _eval_claim(theorem: Theorem, D: BipartiteDigraph) -> tuple[int, list[str]]:
     if conclusion.kind == "violation":
         return 1, [f"claim {theorem.value}: {conclusion.claim}"]
     return 1, []
-
-
-def _eval_l3_2(D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if D.a < 4 or not D.is_strong() or not bk_holds(D, 0):
-        return 0, []
-    if D.is_directed_cycle():
-        return 0, []
-    C = longest_non_hamiltonian_cycle(D)
-    if C is not None and C.length >= 4:
-        return 1, []
-    return 1, ["claim 3.2: no non-Hamiltonian cycle of length >= 4"]
-
-
-def _eval_l3_4(D: BipartiteDigraph) -> tuple[int, list[str]]:
-    if D.a < 4 or not D.is_strong() or not bk_holds(D, 0):
-        return 0, []
-    C = longest_non_hamiltonian_cycle(D)
-    if C is None or C.length < 4:
-        return 0, []
-    bypass = find_bypass(D, C)
-    if bypass is None or bypass.gap != 1:
-        return 0, []
-    if C.length == 2 * D.a - 2:
-        return 1, []
-    return 1, [
-        f"claim 3.4: gap-1 bypass on a longest non-Hamiltonian cycle of length {C.length},"
-        f" expected {2 * D.a - 2}"
-    ]
 
 
 def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
@@ -574,24 +576,20 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     return satisfying, claims
 
 
-_EVALUATORS: dict[SearchTarget, Callable[[BipartiteDigraph], tuple[int, list[str]]]] = {
-    SearchTarget.T1_8: partial(_eval_claim, Theorem.T1_8),
-    SearchTarget.T1_9: partial(_eval_claim, Theorem.T1_9),
-    SearchTarget.T1_10: partial(_eval_claim, Theorem.T1_10),
-    SearchTarget.L3_2: _eval_l3_2,
-    SearchTarget.L3_3: _eval_l3_3,
-    SearchTarget.L3_4: _eval_l3_4,
+# Targets evaluated other than by _eval_claim.
+_EVALUATORS: dict[Theorem, Callable[[BipartiteDigraph], tuple[int, list[str]]]] = {
+    Theorem.L3_3: _eval_l3_3,
 }
 
 _BLOCK = 512  # samples per worker task
 
 
 def _run_block(
-    target: SearchTarget, a: int, p: float, seed: int, start: int, stop: int
+    target: Theorem, a: int, p: float, seed: int, start: int, stop: int
 ) -> tuple[int, list[ViolationRecord]]:
     """Evaluate sample indices [start, stop) of one cell; returns the
     satisfying count and the violation records, picklable for workers."""
-    evaluate = _EVALUATORS[target]
+    evaluate = _EVALUATORS.get(target) or partial(_eval_claim, target)
     satisfying = 0
     violations: list[ViolationRecord] = []
     for i in range(start, stop):

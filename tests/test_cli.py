@@ -11,7 +11,6 @@ import pytest
 from bipancyclic import (
     BipartiteDigraph,
     Conclusion,
-    SearchTarget,
     Theorem,
     TheoremVerdict,
     check_theorem_hypotheses,
@@ -215,6 +214,19 @@ class TestCertify:
         rc, _, _ = run_cli(capsys, "certify", "--theorem", "9.9", d8_file)
         assert rc == 64
 
+    def test_lemma_3_3_is_search_only(self, capsys, d8_file):
+        rc, out, err = run_cli(capsys, "certify", "--theorem", "3.3", d8_file)
+        assert rc == 65 and out == ""
+        assert err.startswith("error: ") and "search --target 3.3" in err
+
+    def test_longest_cycle_cap_is_data_error(self, capsys, tmp_path):
+        # n = 26 meets lemma 3.2's hypotheses but is above the scan's cap of 24
+        path = tmp_path / "k13.txt"
+        path.write_text(serialize(complete_bipartite(13)))
+        rc, out, err = run_cli(capsys, "certify", "--theorem", "3.2", str(path))
+        assert rc == 65 and out == ""
+        assert err == "error: longest-cycle scan capped at order 24, got 26\n"
+
 
 # Not strongly connected, side size 3, and x0/x1 dominate y0 with degree 1
 # each, so the order, connectivity and degree clauses all fail at once.
@@ -229,6 +241,9 @@ CERTIFY_GOLDENS = [
     ("1.10-d8", "1.10", d8(), 0),
     ("1.8-not-strong-a3", "1.8", NOT_STRONG_A3, 1),
     ("1.9-not-strong-a3", "1.9", NOT_STRONG_A3, 1),
+    ("3.2-d8", "3.2", d8(), 0),
+    ("3.4-complete-bipartite-4", "3.4", complete_bipartite(4), 0),
+    ("3.4-d8", "3.4", d8(), 1),  # only the bypass premise fails
 ]
 
 
@@ -277,7 +292,7 @@ SEARCH_GRID = ("--a", "4", "5", "--p", "0.5", "0.9", "--samples", "40", "--seed"
 class TestSearchGoldens:
     """search text and --json, byte for byte, one golden pair per target."""
 
-    @pytest.mark.parametrize("target", [t.value for t in SearchTarget])
+    @pytest.mark.parametrize("target", [t.value for t in Theorem])
     def test_matches_golden(self, capsys, target):
         for suffix, extra in (("", ()), ("-json", ("--json",))):
             rc, out, _ = run_cli(capsys, "search", "--target", target, *SEARCH_GRID, *extra)

@@ -15,7 +15,6 @@ from bipancyclic import (
     Conclusion,
     Digraph,
     SearchConfig,
-    SearchTarget,
     Theorem,
     TheoremVerdict,
     check_cycle,
@@ -35,7 +34,7 @@ from bipancyclic import (
     verify_theorem,
     write_violations,
 )
-from bipancyclic.errors import BadConfig, WitnessNotFound
+from bipancyclic.errors import BadConfig, BadParams, WitnessNotFound
 from bipancyclic.naive import naive_isomorphism
 from bipancyclic import cli, conditions, cycles, verify
 from bipancyclic.verify import MAX_SAMPLES, _certificate
@@ -43,6 +42,9 @@ from bipancyclic.verify import MAX_SAMPLES, _certificate
 from test_digraph import bipartite_digraphs
 
 D8_ARC_LIST = [(str(u), str(v)) for u, v in d8().arcs()]
+
+# Every statement with a per-digraph verdict: all but lemma 3.3.
+CERTIFIABLE = [t for t in Theorem if t is not Theorem.L3_3]
 
 
 class TestVerdicts:
@@ -104,23 +106,62 @@ class TestVerdicts:
         bad = Conclusion("violation", claim="x", serialization="y")
         assert TheoremVerdict(Theorem.T1_10, hyp, bad).outcome == "violation"
 
+    def test_3_2_longest_non_hamiltonian_cycle(self):
+        v = verify_theorem(d8(), Theorem.L3_2)
+        assert v.conclusion.kind == "non-hamiltonian-cycle"
+        assert str(v.conclusion.cycle) == "x0 y0 x2 y3 x3 y1"
+
+    def test_3_4_reuses_the_bypassed_cycle(self):
+        v = verify_theorem(complete_bipartite(4), Theorem.L3_4)
+        assert v.conclusion.kind == "two-below-full-cycle"
+        assert v.conclusion.cycle is v.hypotheses._premise
+
+    def test_3_3_has_no_verdict(self):
+        with pytest.raises(BadParams, match="search --target 3.3"):
+            verify_theorem(d8(), Theorem.L3_3)
+
     def test_certificate_violation_path(self):
         out = _certificate(directed_cycle(4), 8)
         assert out.kind == "violation"
         assert out.claim == "no cycle of length 2 (even lengths 2..8 claimed)"
 
+    def test_lemma_violation_paths(self):
+        # violation texts, which search reports after "claim <id>: "
+        out = verify._CONCLUSIONS[Theorem.L3_2](directed_cycle(4), None)
+        assert out.claim == "no non-Hamiltonian cycle of length >= 4"
+        four = find_cycle_of_length(complete_bipartite(4), 4)
+        out = verify._CONCLUSIONS[Theorem.L3_4](complete_bipartite(4), four)
+        assert out.claim == (
+            "gap-1 bypass on a longest non-Hamiltonian cycle of length 4, expected 6"
+        )
+
     @settings(max_examples=40)
-    @given(bipartite_digraphs(min_a=4, max_a=5), st.sampled_from(list(Theorem)))
+    @given(bipartite_digraphs(min_a=4, max_a=5), st.sampled_from(CERTIFIABLE))
     def test_verdicts_total_and_sound(self, D, theorem):
         v = verify_theorem(D, theorem)
         # the claims are proven: random inputs never produce a violation
         assert v.outcome in ("conclusion", "hypotheses-not-met")
         if v.outcome == "hypotheses-not-met":
             assert v.hypotheses.failures
-        elif v.conclusion.kind == "pancyclic-certificate":
-            for m, cycle in v.conclusion.cycles:
-                assert cycle.length == m
-                check_cycle(D, cycle)
+            return
+        c = v.conclusion
+        # every witness is re-checked at the length it is claimed for
+        for m, cycle in c.cycles:
+            assert check_cycle(D, cycle).length == m
+        if c.kind == "pancyclic-certificate":
+            top = 2 * D.a - 2 if theorem is Theorem.T1_9 else 2 * D.a
+            assert c.lengths() == tuple(range(2, top + 1, 2))
+        elif c.kind == "d8-isomorphism":
+            assert _witness_maps_arcs(c.isomorphism, D, d8())
+        elif c.kind == "non-hamiltonian-cycle":
+            assert 4 <= c.cycle.length < D.n
+        else:
+            claimed = {
+                "hamiltonian": D.n,
+                "directed-cycle": D.n,
+                "two-below-full-cycle": 2 * D.a - 2,
+            }
+            assert c.lengths() == (claimed[c.kind],)
 
 
 def _witness_maps_arcs(witness, D, target):
@@ -270,7 +311,7 @@ class TestSampling:
 
 class TestSearch:
     CONFIG = SearchConfig(
-        target=SearchTarget.T1_9,
+        target=Theorem.T1_9,
         a_values=(4,),
         p_values=(0.7,),
         samples=600,
@@ -291,7 +332,7 @@ class TestSearch:
         assert serial.render() == parallel.render()
 
     def test_zero_samples(self):
-        r = run_search(SearchConfig(target=SearchTarget.T1_8, samples=0))
+        r = run_search(SearchConfig(target=Theorem.T1_8, samples=0))
         assert r.samples_run == 0 and r.hypothesis_satisfying == 0
         assert len(r.cells) == 9  # full default grid still reported
 
@@ -304,35 +345,34 @@ class TestSearch:
 
     def test_bad_configs(self):
         for cfg in (
-            SearchConfig(SearchTarget.T1_8, a_values=()),
-            SearchConfig(SearchTarget.T1_8, p_values=()),
-            SearchConfig(SearchTarget.T1_8, a_values=(0,)),
-            SearchConfig(SearchTarget.T1_8, a_values=(13,)),
-            SearchConfig(SearchTarget.T1_8, p_values=(1.5,)),
-            SearchConfig(SearchTarget.T1_8, samples=-1),
-            SearchConfig(SearchTarget.T1_8, samples=MAX_SAMPLES + 1),
-            SearchConfig(SearchTarget.T1_8, a_values=(4, 5, 4)),
-            SearchConfig(SearchTarget.T1_8, p_values=(0.7, 0.5, 0.7)),
+            SearchConfig(target="1.8", samples=1),
+            SearchConfig(Theorem.T1_8, a_values=(4.5,), samples=1),
+            SearchConfig(Theorem.T1_8, samples=2.5),
+            SearchConfig(Theorem.T1_8, p_values=("0.5",), samples=1),
+            SearchConfig(Theorem.T1_8, a_values=()),
+            SearchConfig(Theorem.T1_8, p_values=()),
+            SearchConfig(Theorem.T1_8, a_values=(0,)),
+            SearchConfig(Theorem.T1_8, a_values=(13,)),
+            SearchConfig(Theorem.T1_8, p_values=(1.5,)),
+            SearchConfig(Theorem.T1_8, samples=-1),
+            SearchConfig(Theorem.T1_8, samples=MAX_SAMPLES + 1),
+            SearchConfig(Theorem.T1_8, a_values=(4, 5, 4)),
+            SearchConfig(Theorem.T1_8, p_values=(0.7, 0.5, 0.7)),
         ):
             with pytest.raises(BadConfig):
                 run_search(cfg)
         with pytest.raises(BadConfig):
-            run_search(SearchConfig(SearchTarget.T1_8), workers=0)
+            run_search(SearchConfig(Theorem.T1_8), workers=0)
+        with pytest.raises(BadConfig):  # before any worker starts
+            run_search(SearchConfig(target="1.8", samples=1), workers=2)
 
     def test_sample_cap_is_accepted(self):
-        SearchConfig(SearchTarget.T1_8, samples=MAX_SAMPLES).validate()
+        SearchConfig(Theorem.T1_8, samples=MAX_SAMPLES).validate()
 
-    @pytest.mark.parametrize(
-        "target,theorem",
-        [
-            (SearchTarget.T1_8, Theorem.T1_8),
-            (SearchTarget.T1_9, Theorem.T1_9),
-            (SearchTarget.T1_10, Theorem.T1_10),
-        ],
-    )
-    def test_prefilter_matches_hypotheses(self, target, theorem):
+    @pytest.mark.parametrize("theorem", CERTIFIABLE)
+    def test_prefilter_matches_hypotheses(self, theorem):
         # the search's per-cell counts are exactly what certify concludes
-        config = SearchConfig(target, a_values=(4, 5), p_values=(0.7, 0.9), samples=60, seed=1)
+        config = SearchConfig(theorem, a_values=(4, 5), p_values=(0.7, 0.9), samples=60, seed=1)
         report = run_search(config)
         for cell in report.cells:
             verdicts = [
@@ -376,7 +416,7 @@ class TestSearch:
 
         monkeypatch.setattr(verify, "_run_block", fake_block)
         config = SearchConfig(
-            SearchTarget.T1_8, a_values=(4, 5, 6), p_values=(0.3, 0.5, 0.7),
+            Theorem.T1_8, a_values=(4, 5, 6), p_values=(0.3, 0.5, 0.7),
             samples=20 * verify._BLOCK - 7,
         )
         expected = tuple(
@@ -409,7 +449,7 @@ class TestSearch:
         monkeypatch.setattr(verify, "_run_block", fail)
         _inline_pool(monkeypatch)
         config = SearchConfig(
-            SearchTarget.T1_8, a_values=(4, 5, 6),
+            Theorem.T1_8, a_values=(4, 5, 6),
             p_values=tuple(k / 10 for k in range(1, 11)), samples=MAX_SAMPLES,
         )
         tracemalloc.start()
@@ -427,9 +467,9 @@ class TestSearch:
         def fake(D):
             return 1, (["claim 1.8: even arc count"] if D.arc_count % 2 == 0 else [])
 
-        monkeypatch.setitem(verify._EVALUATORS, SearchTarget.T1_8, fake)
+        monkeypatch.setitem(verify._EVALUATORS, Theorem.T1_8, fake)
         config = SearchConfig(
-            SearchTarget.T1_8, a_values=(4, 5), p_values=(0.5,), samples=600, seed=9
+            Theorem.T1_8, a_values=(4, 5), p_values=(0.5,), samples=600, seed=9
         )
         report = run_search(config)
         expected = [
@@ -442,7 +482,7 @@ class TestSearch:
         assert 0 < len(expected) < 2 * config.samples
         assert [(v.a, v.p, v.sample_index) for v in report.violations] == expected
         for v in report.violations:
-            assert v.target is SearchTarget.T1_8 and v.config_seed == config.seed
+            assert v.target is Theorem.T1_8 and v.config_seed == config.seed
             assert v.sample_seed == sample_seed(config.seed, v.a, v.p, v.sample_index)
             assert v.serialization == serialize(
                 sample_digraph(config.seed, v.a, v.p, v.sample_index)
@@ -508,7 +548,7 @@ class TestSearch:
                 return find(D, m)
 
             monkeypatch.setattr(module, "find_cycle_of_length", counted)
-        report = run_search(SearchConfig(SearchTarget.T1_9, samples=200, seed=1))
+        report = run_search(SearchConfig(Theorem.T1_9, samples=200, seed=1))
         assert report.hypothesis_satisfying == 69
         assert calls == {"conditions": 69, "verify": 146}
         calls.update(conditions=0, verify=0)
@@ -517,7 +557,7 @@ class TestSearch:
         assert calls == {"conditions": 1, "verify": 2}
 
     def test_lemma_targets_run_clean(self):
-        for target in (SearchTarget.L3_2, SearchTarget.L3_3, SearchTarget.L3_4):
+        for target in (Theorem.L3_2, Theorem.L3_3, Theorem.L3_4):
             r = run_search(
                 SearchConfig(target, a_values=(4,), p_values=(0.7,), samples=200)
             )
@@ -605,12 +645,12 @@ class TestLemma33Evaluator:
 class TestViolationFiles:
     def _fake_report(self):
         record_source = run_search(
-            SearchConfig(SearchTarget.T1_8, a_values=(4,), p_values=(0.5,), samples=1)
+            SearchConfig(Theorem.T1_8, a_values=(4,), p_values=(0.5,), samples=1)
         )
         from bipancyclic import ViolationRecord
 
         record = ViolationRecord(
-            target=SearchTarget.T1_8,
+            target=Theorem.T1_8,
             a=4,
             p=0.5,
             sample_index=3,
