@@ -7,10 +7,12 @@ total degree >= 2a - 2 + k, where a is the side size.  It is monotone in k
 
 The statement catalog below numbers eight statements about balanced
 bipartite digraphs: claims 1.6-1.10 and the lemmas 3.2-3.4 their proofs use.
-The Theorem docstring states each in full.  check_theorem_hypotheses
-evaluates every hypothesis clause of one statement and reports all failures,
-not just the first; hypotheses_hold is the short-circuiting test over the
-same clauses.
+The Theorem docstring states each in full.  A statement's hypotheses are a
+row of gate clauses (connectivity, order, degree condition, shape) plus at
+most one premise clause, the cycle the conclusion starts from (claim 1.9's,
+lemma 3.4's).  One walker evaluates a row: the premise runs only when every
+gate held.  check_theorem_hypotheses reports every failing gate; the search
+stops at the first.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class Theorem(Enum):
 
     T1_6: if every dominating pair {u, v} has d(u) >= 2a - 1 and d(v) >= a + 1
           (in one of the two orderings), the digraph has cycles of every even
-          length 2..2a.
+          length 2..2a or is a directed cycle, which has no dominating pair
+          and so meets the condition vacuously.
     T1_7: if a >= 4 and B_1 holds, the digraph is Hamiltonian or is one
           specific 8-vertex exception (see families.d8).
     T1_8: if a >= 4 and B_1 holds, the digraph has a cycle of length 2a - 2
@@ -53,11 +56,6 @@ class Theorem(Enum):
     L3_4: if a >= 4, B_0 holds, and the longest non-Hamiltonian cycle C has
           length >= 4 and a bypass of gap 1, then C has length 2a - 2.
     """
-
-    # Members are singletons compared by identity, so the identity hash is
-    # exact; it spares the search Enum's Python-level __hash__ on the two
-    # per-sample table lookups (clauses, conclusion routine).
-    __hash__ = object.__hash__
 
     T1_6 = "1.6"
     T1_7 = "1.7"
@@ -182,10 +180,12 @@ class HypothesisReport:
         return not self.failures
 
 
-# A hypothesis clause: a cheap predicate plus a builder for its failure
-# message, which runs only when the predicate fails.  A predicate holds when
-# its value is truthy; a premise clause returns the cycle it found.
+# A hypothesis clause: a predicate plus a builder for its failure message,
+# which runs only when the predicate fails.  A gate's predicate returns a
+# bool; a premise's returns the cycle it found, or None.
 _Clause = tuple[Callable[[BipartiteDigraph], object], Callable[[BipartiteDigraph], str]]
+# A statement's hypotheses: its gates in report order, then its premise.
+_Row = tuple[tuple[_Clause, ...], _Clause | None]
 
 
 def _order(min_side: int) -> _Clause:
@@ -221,7 +221,7 @@ def _explain_two_sided(D: BipartiteDigraph) -> str:
 _STRONG: _Clause = (Digraph.is_strong, lambda D: "connectivity: not strongly connected")
 _TWO_SIDED: _Clause = (lambda D: check_two_sided_condition(D)[0], _explain_two_sided)
 _PREMISE: _Clause = (
-    lambda D: D.a < 2 or find_cycle_of_length(D, 2 * D.a - 2),
+    lambda D: find_cycle_of_length(D, 2 * D.a - 2),
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
 )
 
@@ -246,59 +246,56 @@ _NOT_DIRECTED_CYCLE: _Clause = (
     lambda D: "shape: the digraph is a directed cycle",
 )
 
-# Each statement's hypotheses on a balanced bipartite input, in report order.
-# Lemma 3.3's hypotheses hold per (cycle, vertex) unit, so its row is empty.
-_CLAUSES: dict[Theorem, tuple[_Clause, ...]] = {
-    Theorem.T1_6: (_STRONG, _order(1), _TWO_SIDED),
-    Theorem.T1_7: (_STRONG, _order(4), _bk(1)),
-    Theorem.T1_8: (_STRONG, _order(4), _bk(1)),
-    Theorem.T1_9: (_STRONG, _order(4), _bk(0), _PREMISE),
-    Theorem.T1_10: (_STRONG, _order(4), _bk(1), _NOT_DIRECTED_CYCLE),
-    Theorem.L3_2: (_STRONG, _order(4), _bk(0), _NOT_DIRECTED_CYCLE),
-    Theorem.L3_3: (),
-    Theorem.L3_4: (_STRONG, _order(4), _bk(0), _BYPASS_PREMISE),
+# Each statement's hypotheses on a balanced bipartite input.  Lemma 3.3's
+# hypotheses hold per (cycle, vertex) unit, so its row is empty.
+_CLAUSES: dict[Theorem, _Row] = {
+    Theorem.T1_6: ((_STRONG, _order(1), _TWO_SIDED), None),
+    Theorem.T1_7: ((_STRONG, _order(4), _bk(1)), None),
+    Theorem.T1_8: ((_STRONG, _order(4), _bk(1)), None),
+    Theorem.T1_9: ((_STRONG, _order(4), _bk(0)), _PREMISE),
+    Theorem.T1_10: ((_STRONG, _order(4), _bk(1), _NOT_DIRECTED_CYCLE), None),
+    Theorem.L3_2: ((_STRONG, _order(4), _bk(0), _NOT_DIRECTED_CYCLE), None),
+    Theorem.L3_3: ((), None),
+    Theorem.L3_4: ((_STRONG, _order(4), _bk(0)), _BYPASS_PREMISE),
 }
 
 
+def _walk(D: BipartiteDigraph, row: _Row, stop: bool) -> tuple[list[_Clause], Cycle | None]:
+    """Evaluate one row: its failing clauses in report order, and the
+    premise's cycle (None when the row has no premise or a clause failed).
+
+    The premise runs only when every gate held, so its search never meets an
+    input the gates reject.  With stop, the walk ends at the first failure.
+    """
+    gates, premise = row
+    failed = []
+    for clause in gates:
+        if not clause[0](D):
+            failed.append(clause)
+            if stop:
+                break
+    if failed or premise is None:
+        return failed, None
+    cycle = premise[0](D)
+    if cycle is None:
+        failed.append(premise)
+    return failed, cycle
+
+
 def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
-    """Evaluate every hypothesis clause of one statement; collect all failures.
+    """Evaluate one statement's hypothesis clauses; collect all failures.
 
     Clauses common to the catalog: balanced bipartite structure, strong
     connectivity, minimum side size.  Statement-specific clauses: the degree
-    condition (two-sided for 1.6, margin 1 or 0 otherwise), existence of a
-    cycle of length 2a - 2 (1.9), a longest non-Hamiltonian cycle of length
-    >= 4 with a gap-1 bypass (3.4), and not being a directed cycle (1.10,
-    3.2).  Lemma 3.3 has no clause on the digraph, so every bipartite input
-    satisfies it here.  Raises TooLarge for lemma 3.4 above the longest-cycle
-    scan's order cap.
+    condition (two-sided for 1.6, margin 1 or 0 otherwise), not being a
+    directed cycle (1.10, 3.2), and a premise cycle, searched for only when
+    every other clause held: one of length 2a - 2 (1.9), or a longest
+    non-Hamiltonian cycle of length >= 4 with a gap-1 bypass (3.4).  Lemma
+    3.3 has no clause on the digraph, so every bipartite input satisfies it
+    here.  Raises TooLarge for lemma 3.4 when its premise scan runs above the
+    longest-cycle scan's order cap.
     """
     if not isinstance(D, BipartiteDigraph):
         return HypothesisReport(theorem, ("structure: not a balanced bipartite digraph",))
-    failures = []
-    premise = None
-    for holds, explain in _CLAUSES[theorem]:
-        held = holds(D)
-        if not held:
-            failures.append(explain(D))
-        elif isinstance(held, Cycle):
-            premise = held
-    return HypothesisReport(theorem, tuple(failures), premise)
-
-
-def _hold_with_premise(D: BipartiteDigraph, theorem: Theorem) -> tuple[bool, Cycle | None]:
-    """hypotheses_hold on a bipartite input, with the premise cycle its
-    clauses found (claim 1.9, lemma 3.4), or None."""
-    premise = None
-    for holds, _ in _CLAUSES[theorem]:
-        held = holds(D)
-        if not held:
-            return False, None
-        if isinstance(held, Cycle):
-            premise = held
-    return True, premise
-
-
-def hypotheses_hold(D: Digraph, theorem: Theorem) -> bool:
-    """check_theorem_hypotheses(D, theorem).satisfied, stopping at the first
-    failing clause and building no messages."""
-    return isinstance(D, BipartiteDigraph) and _hold_with_premise(D, theorem)[0]
+    failed, premise = _walk(D, _CLAUSES[theorem], stop=False)
+    return HypothesisReport(theorem, tuple(explain(D) for _, explain in failed), premise)

@@ -244,12 +244,10 @@ def _ladder(
         yield m, _lex_min_cycle_from(out, inn, x, m, allowed)
 
 
-def _find_cycle_indices(D: Digraph, m: int, allowed: int | None = None) -> list[int] | None:
-    """Lex-min cycle of exactly m vertices inside the allowed set, or None."""
+def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
+    """Lex-min cycle of exactly m vertices, or None."""
     out, inn = D._out, D._in
-    if allowed is None:
-        allowed = (1 << D.n) - 1
-    todo = allowed
+    allowed = todo = (1 << D.n) - 1
     while todo:
         low = todo & -todo
         start = low.bit_length() - 1
@@ -347,11 +345,10 @@ def find_bypass(D: Digraph, cycle: Sequence[VertexLike] | Cycle) -> Bypass | Non
     for i in idx:
         on_mask |= 1 << i
     off_mask = ((1 << D.n) - 1) & ~on_mask
-    out = D._out
     for gap in range(1, L):
         for u in sorted(idx):
             w = idx[(pos[u] + gap) % L]
-            hit = _lex_min_path(out, D.n, u, w, off_mask)
+            hit = _lex_min_path(D._out, D._in, u, w, off_mask)
             if hit is not None:
                 return Bypass(
                     path=PathWitness(tuple(D._vertex(i) for i in hit)),
@@ -361,35 +358,28 @@ def find_bypass(D: Digraph, cycle: Sequence[VertexLike] | Cycle) -> Bypass | Non
     return None
 
 
-def _lex_min_path(out: Sequence[int], n: int, src: int, dst: int, interior: int) -> list[int] | None:
-    """Least path src -> dst with >= 1 interior vertex, interior inside mask."""
-    dst_bit = 1 << dst
+def _lex_min_path(
+    out: Sequence[int], inn: Sequence[int], src: int, dst: int, free: int
+) -> list[int] | None:
+    """Least path src -> dst with >= 1 interior vertex, all of them in free.
+
+    Each step takes the least successor from which dst is still reachable
+    through unused vertices of free.  Such a successor always has one of its
+    own, so the walk never backtracks and its first path is the least.
+    """
     path = [src]
-    used = 0  # interior vertices on the current path
-
-    def extend() -> bool:
-        nonlocal used
-        u = path[-1]
-        if len(path) > 1 and out[u] & dst_bit:
-            path.append(dst)
-            return True
-        cand = out[u] & interior & ~used
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            if not _reach_within(out, w, dst_bit, interior & ~used & ~low, n):
-                continue
+    cand = out[src] & free
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        w = low.bit_length() - 1
+        if inn[dst] & _reach(out, w, free):
             path.append(w)
-            used |= low
-            if extend():
-                return True
-            path.pop()
-            used &= ~low
-        return False
-
-    if extend():
-        return path
+            if out[w] >> dst & 1:
+                path.append(dst)
+                return path
+            free &= ~low
+            cand = out[w] & free
     return None
 
 

@@ -33,7 +33,9 @@ from typing import Callable, Iterable, Iterator
 from .conditions import (
     HypothesisReport,
     Theorem,
-    _hold_with_premise,
+    _CLAUSES,
+    _Row,
+    _walk,
     check_theorem_hypotheses,
 )
 from .cycles import (
@@ -191,6 +193,22 @@ def _certificate(D: BipartiteDigraph, top: int, top_cycle: Cycle | None = None) 
     return Conclusion("pancyclic-certificate", cycles=tuple(witnesses))
 
 
+def _directed_cycle(D: BipartiteDigraph) -> Conclusion:
+    """The directed-cycle conclusion: the input is its own Hamiltonian cycle."""
+    cycle = find_cycle_of_length(D, D.n)
+    assert cycle is not None
+    return _single("directed-cycle", cycle)
+
+
+def _conclude_1_6(D: BipartiteDigraph) -> Conclusion:
+    """Even pancyclic, or a directed cycle, which meets the two-sided
+    condition vacuously (no two vertices share an out-neighbor)."""
+    conclusion = _certificate(D, 2 * D.a)
+    if conclusion.kind == "violation" and D.is_directed_cycle():
+        return _directed_cycle(D)
+    return conclusion
+
+
 def _conclude_1_7(D: BipartiteDigraph) -> Conclusion:
     """Hamiltonian, or the 8-vertex exception."""
     ham = find_cycle_of_length(D, D.n)
@@ -202,9 +220,7 @@ def _conclude_1_7(D: BipartiteDigraph) -> Conclusion:
 def _conclude_1_8(D: BipartiteDigraph) -> Conclusion:
     """A cycle two short of Hamiltonian, or the directed cycle itself."""
     if D.is_directed_cycle():
-        cycle = find_cycle_of_length(D, D.n)
-        assert cycle is not None
-        return _single("directed-cycle", cycle)
+        return _directed_cycle(D)
     cycle = find_cycle_of_length(D, 2 * D.a - 2)
     if cycle is not None:
         return _single("two-below-full-cycle", cycle)
@@ -241,8 +257,9 @@ def _conclude_3_4(D: BipartiteDigraph, cycle: Cycle) -> Conclusion:
 # Each statement's conclusion routine, run only on inputs that meet its
 # hypotheses, with the premise cycle those found (1.9's, 3.4's) or None.
 # Lemma 3.3 has none: its unit is not a digraph (see _eval_l3_3).
-_CONCLUSIONS: dict[Theorem, Callable[[BipartiteDigraph, Cycle | None], Conclusion]] = {
-    Theorem.T1_6: lambda D, _: _certificate(D, 2 * D.a),
+_Conclude = Callable[[BipartiteDigraph, Cycle | None], Conclusion]
+_CONCLUSIONS: dict[Theorem, _Conclude] = {
+    Theorem.T1_6: lambda D, _: _conclude_1_6(D),
     Theorem.T1_7: lambda D, _: _conclude_1_7(D),
     Theorem.T1_8: lambda D, _: _conclude_1_8(D),
     Theorem.T1_9: lambda D, premise: _certificate(D, 2 * D.a - 2, premise),
@@ -521,18 +538,19 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
     return random_bipartite(a, p, sample_seed(seed, a, p, index))
 
 
-# Per-target evaluation: returns (satisfying units, violation claims).  Every
-# target but lemma 3.3 tests the hypotheses with the same clauses certify
-# reports on, then runs the same conclusion routine certify runs.
+# Per-target evaluation: returns (satisfying units, violation claims), which
+# _run_block prefixes with the statement id.  Every target but lemma 3.3 walks
+# the clause row certify reports on, stopping at the first failure, then runs
+# the conclusion routine certify runs.
 
 
-def _eval_claim(theorem: Theorem, D: BipartiteDigraph) -> tuple[int, list[str]]:
-    held, premise = _hold_with_premise(D, theorem)
-    if not held:
+def _eval_claim(row: _Row, conclude: _Conclude, D: BipartiteDigraph) -> tuple[int, list[str]]:
+    failed, premise = _walk(D, row, stop=True)
+    if failed:
         return 0, []
-    conclusion = _CONCLUSIONS[theorem](D, premise)
+    conclusion = conclude(D, premise)
     if conclusion.kind == "violation":
-        return 1, [f"claim {theorem.value}: {conclusion.claim}"]
+        return 1, [conclusion.claim]
     return 1, []
 
 
@@ -569,17 +587,12 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
             for m, cycle in _ladder(out, inn, x, cmask | 1 << x):
                 if cycle is None:
                     claims.append(
-                        f"claim 3.3: no cycle of length {m} through {D._vertex(x)}"
+                        f"no cycle of length {m} through {D._vertex(x)}"
                         " within the cycle vertices"
                     )
                     break
     return satisfying, claims
 
-
-# Targets evaluated other than by _eval_claim.
-_EVALUATORS: dict[Theorem, Callable[[BipartiteDigraph], tuple[int, list[str]]]] = {
-    Theorem.L3_3: _eval_l3_3,
-}
 
 _BLOCK = 512  # samples per worker task
 
@@ -589,7 +602,11 @@ def _run_block(
 ) -> tuple[int, list[ViolationRecord]]:
     """Evaluate sample indices [start, stop) of one cell; returns the
     satisfying count and the violation records, picklable for workers."""
-    evaluate = _EVALUATORS.get(target) or partial(_eval_claim, target)
+    if target is Theorem.L3_3:
+        evaluate = _eval_l3_3
+    else:
+        evaluate = partial(_eval_claim, _CLAUSES[target], _CONCLUSIONS[target])
+    label = f"claim {target.value}: "
     satisfying = 0
     violations: list[ViolationRecord] = []
     for i in range(start, stop):
@@ -599,7 +616,7 @@ def _run_block(
         if claims:
             text = serialize(D)
             violations.extend(
-                ViolationRecord(target, a, p, i, claim, text, seed) for claim in claims
+                ViolationRecord(target, a, p, i, label + claim, text, seed) for claim in claims
             )
     return satisfying, violations
 

@@ -220,12 +220,29 @@ class TestCertify:
         assert err.startswith("error: ") and "search --target 3.3" in err
 
     def test_longest_cycle_cap_is_data_error(self, capsys, tmp_path):
-        # n = 26 meets lemma 3.2's hypotheses but is above the scan's cap of 24
+        # n = 26 meets lemma 3.2's hypotheses and lemma 3.4's gates, so each
+        # reaches the longest-cycle scan, which is capped at 24
         path = tmp_path / "k13.txt"
         path.write_text(serialize(complete_bipartite(13)))
-        rc, out, err = run_cli(capsys, "certify", "--theorem", "3.2", str(path))
-        assert rc == 65 and out == ""
-        assert err == "error: longest-cycle scan capped at order 24, got 26\n"
+        for claim in ("3.2", "3.4"):
+            rc, out, err = run_cli(capsys, "certify", "--theorem", claim, str(path))
+            assert rc == 65 and out == ""
+            assert err == "error: longest-cycle scan capped at order 24, got 26\n"
+
+    def test_failed_gates_skip_the_premise_scan(self, capsys, tmp_path):
+        # n = 26 is above the longest-cycle scan's cap, but the input fails
+        # lemma 3.4's gates, so the failures are listed and no scan runs
+        path = tmp_path / "in.txt"
+        path.write_text(serialize(BipartiteDigraph(13, [("x0", "y0"), ("x1", "y0")])))
+        rc, out, err = run_cli(capsys, "certify", "--theorem", "3.4", str(path))
+        assert rc == 1 and err == ""
+        assert out == (
+            "claim: 3.4\n"
+            "hypotheses: not satisfied\n"
+            "  - connectivity: not strongly connected\n"
+            "  - degree condition: B_0 fails, pair {x0, x1} has max degree 1 < 24\n"
+            "outcome: hypotheses-not-met\n"
+        )
 
 
 # Not strongly connected, side size 3, and x0/x1 dominate y0 with degree 1

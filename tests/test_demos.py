@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the package.
+"""Smoke test: every demo script runs to completion against the package and
+reports no violation.
 
 The demos import only public names, so this catches a removed or renamed
 export that the unit tests would not notice.  Marked acceptance because the
@@ -6,6 +7,7 @@ five scripts take about 12 s together.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,8 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    # the statements are proven, so no demo may report a counterexample
+    assert "-> violation" not in result.stdout
+    assert "VIOLATION" not in result.stdout
+    counts = re.findall(r"violations[:=] ?(\d+)", result.stdout)
+    assert all(count == "0" for count in counts), counts

@@ -24,7 +24,6 @@ from bipancyclic import (
     d8,
     directed_cycle,
     find_cycle_of_length,
-    hypotheses_hold,
     iso_to_D8,
     parse,
     run_search,
@@ -57,6 +56,24 @@ class TestVerdicts:
     def test_1_6_d8_misses_hypotheses(self):
         v = verify_theorem(d8(), Theorem.T1_6)
         assert v.outcome == "hypotheses-not-met" and v.conclusion is None
+
+    def test_1_6_directed_cycle(self):
+        # no two vertices share an out-neighbor, so the condition holds vacuously
+        v = verify_theorem(directed_cycle(4), Theorem.T1_6)
+        assert v.conclusion.kind == "directed-cycle"
+        assert str(v.conclusion.cycle) == "x0 y0 x1 y1 x2 y2 x3 y3"
+        # K*_{1,1} is a directed cycle too, and its 2-cycle is a full certificate
+        v = verify_theorem(complete_bipartite(1), Theorem.T1_6)
+        assert v.conclusion.kind == "pancyclic-certificate"
+        assert v.conclusion.lengths() == (2,)
+
+    @pytest.mark.parametrize("theorem", CERTIFIABLE)
+    def test_named_families_give_no_violation(self, theorem):
+        inputs = [directed_cycle(a) for a in range(1, 7)]
+        inputs += [complete_bipartite(a) for a in range(1, 6)]
+        inputs.append(d8())
+        for D in inputs:
+            assert verify_theorem(D, theorem).outcome != "violation", serialize(D)
 
     def test_1_7_d8_is_the_exception(self):
         v = verify_theorem(d8(), Theorem.T1_7)
@@ -385,19 +402,44 @@ class TestSearch:
 
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_hypotheses_hold_matches_report(self, theorem):
+        # the search's early-stop walk agrees with certify's full report
+        row = conditions._CLAUSES[theorem]
         digraphs = [
             sample_digraph(2, a, p, i)
             for a in (3, 4, 5)
             for p in (0.7, 0.9)
             for i in range(100)
         ]
-        digraphs.append(Digraph(3, [("v0", "v1"), ("v1", "v2"), ("v2", "v0")]))
         satisfied = 0
         for D in digraphs:
             report = check_theorem_hypotheses(D, theorem)
-            assert hypotheses_hold(D, theorem) == report.satisfied
+            failed, premise = conditions._walk(D, row, stop=True)
+            assert (not failed) == report.satisfied
+            assert len(failed) <= 1
+            assert premise == report._premise
             satisfied += report.satisfied
-        assert 0 < satisfied < len(digraphs)
+        assert satisfied > 0
+        if row != ((), None):
+            assert satisfied < len(digraphs)
+        not_bipartite = Digraph(3, [("v0", "v1"), ("v1", "v2"), ("v2", "v0")])
+        assert not check_theorem_hypotheses(not_bipartite, theorem).satisfied
+
+    def test_premise_runs_only_after_every_gate(self, monkeypatch):
+        calls = []
+
+        def counting(D, m):
+            calls.append(m)
+            return find_cycle_of_length(D, m)
+
+        monkeypatch.setattr(conditions, "find_cycle_of_length", counting)
+        monkeypatch.setattr(verify, "find_cycle_of_length", counting)
+        not_strong = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
+        verdict = verify_theorem(not_strong, Theorem.T1_9)
+        assert verdict.outcome == "hypotheses-not-met"
+        assert len(verdict.hypotheses.failures) == 3
+        assert calls == []
+        verify_theorem(d8(), Theorem.T1_9)  # the gates hold: one premise search
+        assert calls == [6, 2, 4]  # the certificate reuses the premise cycle
 
     def test_workers_clamped_before_pool_starts(self, monkeypatch):
         pool = _inline_pool(monkeypatch)
@@ -464,10 +506,10 @@ class TestSearch:
     def test_violation_path(self, monkeypatch, capsys, tmp_path):
         # No shipped claim ever fails, so a stand-in evaluator flags every
         # sample with an even arc count to drive the violation path.
-        def fake(D):
-            return 1, (["claim 1.8: even arc count"] if D.arc_count % 2 == 0 else [])
+        def fake(row, conclude, D):
+            return 1, (["even arc count"] if D.arc_count % 2 == 0 else [])
 
-        monkeypatch.setitem(verify._EVALUATORS, Theorem.T1_8, fake)
+        monkeypatch.setattr(verify, "_eval_claim", fake)
         config = SearchConfig(
             Theorem.T1_8, a_values=(4, 5), p_values=(0.5,), samples=600, seed=9
         )
@@ -580,7 +622,7 @@ def _eval_l3_3_public(D):
             try:
                 cycles_through_vertex(D, C, x)
             except WitnessNotFound as exc:
-                claims.append(f"claim 3.3: {exc}")
+                claims.append(str(exc))
     return satisfying, claims
 
 
@@ -639,7 +681,7 @@ class TestLemma33Evaluator:
         # units: the 2-cycle with 6 off-cycle vertices, the 4- and 6-cycles
         # with 4 and 2; the 6 ladders that reach length 4 each give one claim
         assert got[0] == 12 and len(got[1]) == 6
-        assert got[1][0] == "claim 3.3: no cycle of length 4 through x2 within the cycle vertices"
+        assert got[1][0] == "no cycle of length 4 through x2 within the cycle vertices"
 
 
 class TestViolationFiles:
