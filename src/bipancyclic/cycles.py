@@ -8,14 +8,21 @@ whole vertex sequence is lexicographically least among all cycles of that
 length (rotations of the same cycle included).
 
 The searches are exact: a None result means no witness exists, never that a
-budget ran out.  Two bounds decide many absences before any branching, and
-both only discard starts or searches that have no completion, so None stays
-exact: each start is searched only inside its strong component among the
-vertices not yet used as starts (a cycle through it cannot leave that
-component), and a search that must cover every allowed vertex first checks
-that the allowed vertices have a cycle cover (each can take a distinct
-successor among them).  Order is capped only where a full spectrum or
-longest-cycle scan is requested (TooLarge above ``max_n``).
+budget ran out.  Three cuts shorten them, and each discards only starts,
+searches or branches that have no completion, so None stays exact:
+
+- component: each start is searched only inside its strong component among
+  the vertices not yet used as starts (a cycle through it cannot leave that
+  component);
+- cover: a search that must cover every allowed vertex first checks that the
+  allowed vertices have a cycle cover (each can take a distinct successor
+  among them), and drops branches that strand an allowed vertex;
+- dead state: a branch's remaining search depends only on its visited set
+  and end vertex, so a (visited set, end vertex) pair whose subtree failed is
+  not searched again when another order of the same vertices reaches it.
+
+Order is capped only where a full spectrum or longest-cycle scan is
+requested (TooLarge above ``max_n``).
 
 Internal invariant (asserted in the test suite): in both digraph classes the
 integer vertex index increases exactly with canonical vertex order, so
@@ -182,17 +189,33 @@ def _has_cycle_cover(out: Sequence[int], allowed: int) -> bool:
     return True
 
 
+# Most (visited set, end vertex) pairs one search remembers as dead, about
+# 20 MB; once full, the search goes on without adding more.
+_DEAD_STATE_CAP = 1 << 18
+
+
 def _lex_min_cycle_from(
     out: Sequence[int], inn: Sequence[int], start: int, m: int, allowed: int
 ) -> list[int] | None:
     """Least m-cycle starting at ``start`` inside ``allowed`` (start included).
 
     Exploration is depth-first with neighbors in ascending index order, so
-    the first completed cycle is the least one starting at start.  A covering
-    search (m equals the number of allowed vertices) returns None at once
-    when the allowed vertices have no cycle cover, and cuts branches that
-    strand an allowed vertex.  Both cuts drop only branches with no
-    completion, so None still means no such cycle exists.
+    the first completed cycle is the least one starting at start.  Three cuts
+    drop only branches with no completion, so None still means no such cycle
+    exists:
+
+    - component: the caller passes start's strong component as allowed;
+    - cover: a covering search (m equals the number of allowed vertices)
+      returns None at once when the allowed vertices have no cycle cover,
+      and cuts branches that strand an allowed vertex;
+    - dead state: start, m and allowed are fixed per call, so the rest of a
+      branch depends only on its visited set and end vertex (Held and Karp's
+      subset-and-endpoint state).  A pair whose subtree failed goes into a
+      set private to this call, capped at _DEAD_STATE_CAP pairs, and is not
+      searched again when another order of the same vertices reaches it.
+
+    The last vertex is taken directly, as the least one that closes the
+    cycle.
     """
     require_cover = allowed.bit_count() == m
     if require_cover and not _has_cycle_cover(out, allowed):
@@ -201,23 +224,35 @@ def _lex_min_cycle_from(
     pool = allowed & ~start_bit
     path = [start]
     used = start_bit
+    dead: set[int] = set()  # visited set << shift | end vertex
+    shift = allowed.bit_length()
 
     def extend() -> bool:
         nonlocal used
         u = path[-1]
         depth = len(path)
-        if depth == m:
-            return bool(out[u] & start_bit)
-        remaining = m - depth  # arcs still to walk before closing
+        remaining = m - depth  # vertices still to add before closing
         cand = out[u] & pool & ~used
+        if remaining == 1:
+            close = cand & inn[start]
+            if close:
+                path.append((close & -close).bit_length() - 1)
+            return bool(close)
+        # A state is worth remembering once two interior vertices could have
+        # come in either order, and while it still branches.
+        memo = depth >= 2 and remaining > 2
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
+            if memo:
+                key = (used | low) << shift | w
+                if key in dead:
+                    continue
             free = pool & ~used & ~low
             if not _reach_within(out, w, start_bit, free, remaining):
                 continue
-            if require_cover and remaining > 1:
+            if require_cover:
                 if _reach(out, w, free) & free != free:
                     continue
                 if _reach(inn, start, free) & free != free:
@@ -228,11 +263,15 @@ def _lex_min_cycle_from(
                 return True
             path.pop()
             used &= ~low
+            if memo and len(dead) < _DEAD_STATE_CAP:
+                dead.add(key)
         return False
 
-    if extend():
-        return path
-    return None
+    found = extend()
+    # extend refers to itself, so without this the dead set would wait for
+    # the cycle collector instead of going on return.
+    del extend
+    return path if found else None
 
 
 def _ladder(

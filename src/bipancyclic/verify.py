@@ -23,12 +23,11 @@ import hashlib
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .conditions import (
     HypothesisReport,
@@ -55,6 +54,9 @@ from .digraph import (
 )
 from .errors import BadConfig, BadParams
 from . import families
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 # -- conclusions -----------------------------------------------------------------
@@ -631,6 +633,9 @@ def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tupl
         for block in blocks:
             yield block, _run_block(*block)
         return
+    # Imported here: a single-process search never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         in_flight: deque[tuple[tuple, Future]] = deque()
         for block in blocks:

@@ -1,5 +1,6 @@
 """Cycle engine: witnesses, spectra, bypasses, and oracle agreement."""
 
+import gc
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from bipancyclic import (
     is_hamiltonian,
     longest_non_hamiltonian_cycle,
 )
+from bipancyclic import cycles
 from bipancyclic.cycles import _has_cycle_cover
 from bipancyclic.errors import (
     BadLength,
@@ -76,6 +78,11 @@ LINKED_CLUSTERS.update(
     for m in range(2, 6)
     for both in (False, True)
 )
+
+
+def placed(D: Digraph, where: list[int], n: int) -> Digraph:
+    """A copy of D inside an order-n digraph, vertex i moved to where[i]."""
+    return Digraph(n, [(f"v{where[u.index]}", f"v{where[w.index]}") for u, w in D.arcs()])
 
 
 class TestFindCycle:
@@ -170,12 +177,116 @@ class TestSpectrum:
     def test_lengths_match_naive_general(self, D):
         assert cycle_spectrum(D).lengths() == naive_cycle_lengths(D)
 
+    @pytest.mark.parametrize("both", [False, True])
+    @pytest.mark.parametrize(
+        "m", [pytest.param(m, marks=pytest.mark.acceptance) if m > 9 else m for m in range(2, 13)]
+    )
+    def test_h_2m_up_to_the_cap(self, m, both):
+        # Inside a cluster every length up to m; a crossing cycle takes x, y
+        # and the other vertices of one cluster only, so at most m + 1.
+        D = h_2m(m, both)
+        assert cycle_spectrum(D).lengths() == tuple(range(2, m + 2))
+        assert not is_hamiltonian(D)
+
     @pytest.mark.parametrize("m", range(2, 13))
     def test_h_mm_up_to_the_cap(self, m):
         # the longest cycle fills one cluster; nothing crosses back from B
         D = h_mm(m)
         assert cycle_spectrum(D).lengths() == tuple(range(2, m + 1))
         assert longest_non_hamiltonian_cycle(D).length == m
+
+
+# Ten vertices placed at 0..4 and 256..260.  Their Hamiltonian search meets
+# two states with one visited set whose end vertices are w and w + 256, which
+# a key packing the end vertex into 8 bits would merge.
+STRADDLE_ARCS = [
+    (0, 2), (0, 3), (0, 4), (0, 6), (1, 7), (2, 1), (2, 3), (2, 5), (2, 9), (3, 0),
+    (3, 1), (3, 6), (3, 9), (4, 2), (4, 6), (5, 0), (5, 1), (5, 2), (5, 4), (5, 7),
+    (6, 0), (6, 8), (7, 0), (7, 1), (7, 3), (8, 3), (8, 6), (8, 7), (9, 3), (9, 5),
+    (9, 7), (9, 8),
+]
+
+# Eleven vertices whose 10-cycle search fails a prefix and later meets the
+# same vertex set ending at another vertex, which does complete: a key
+# without the end vertex would skip the least 10-cycle.
+SAME_SET_ARCS = [
+    (0, 1), (0, 4), (0, 5), (0, 8), (0, 9), (0, 10), (1, 2), (1, 3), (1, 10), (2, 1),
+    (2, 4), (2, 9), (2, 10), (3, 7), (4, 0), (4, 1), (4, 6), (4, 9), (5, 1), (5, 2),
+    (5, 4), (5, 6), (5, 10), (6, 1), (6, 2), (6, 3), (6, 8), (7, 4), (7, 5), (7, 8),
+    (7, 9), (8, 0), (8, 2), (8, 4), (8, 7), (8, 10), (9, 2), (10, 1),
+]
+
+
+class TestDeadStates:
+    @pytest.mark.parametrize("cap", [0, 1])
+    @pytest.mark.parametrize("D", list(LINKED_CLUSTERS.values()), ids=list(LINKED_CLUSTERS))
+    def test_cap_keeps_linked_cluster_witnesses(self, D, cap, monkeypatch):
+        want = [find_cycle_of_length(D, m) for m in range(2, D.n + 1)]
+        monkeypatch.setattr(cycles, "_DEAD_STATE_CAP", cap)
+        assert [find_cycle_of_length(D, m) for m in range(2, D.n + 1)] == want
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    @given(
+        st.one_of(
+            bipartite_digraphs(min_a=1, max_a=3),
+            general_digraphs(min_n=2, max_n=5),
+            disjoint_unions(),
+        )
+    )
+    def test_cap_keeps_oracle_witnesses(self, cap, D):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_DEAD_STATE_CAP", cap)
+            got = [find_cycle_of_length(D, m) for m in range(2, D.n + 1)]
+        for m, cycle in enumerate(got, start=2):
+            assert (None if cycle is None else cycle.vertices) == naive_find_cycle(D, m)
+
+    @pytest.mark.parametrize(
+        "D, where",
+        [
+            (h_2m(6), [300 + i for i in range(12)]),
+            (
+                Digraph(10, [(f"v{u}", f"v{w}") for u, w in STRADDLE_ARCS]),
+                [i if i < 5 else 251 + i for i in range(10)],
+            ),
+        ],
+        ids=["h2m6-at-300", "straddle-256"],
+    )
+    def test_copy_past_256_vertices(self, D, where):
+        n = where[-1] + 1
+        copy = cycle_spectrum(placed(D, where, n), max_n=n)
+        assert [(m, tuple(v.index for v in C.vertices)) for m, C in copy.witnesses] == [
+            (m, tuple(where[v.index] for v in C.vertices)) for m, C in cycle_spectrum(D).witnesses
+        ]
+
+    def test_end_vertex_is_part_of_the_state(self):
+        D = Digraph(11, [(f"v{u}", f"v{w}") for u, w in SAME_SET_ARCS])
+        for m in range(2, 12):
+            got = find_cycle_of_length(D, m)
+            assert (None if got is None else got.vertices) == naive_find_cycle(D, m)
+
+    def test_h_2m_absences_reuse_dead_states(self, monkeypatch):
+        calls = 0
+        reach_within = cycles._reach_within
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reach_within(*args)
+
+        monkeypatch.setattr(cycles, "_reach_within", counted)
+        cycle_spectrum(h_2m(8))
+        assert calls < 40_000  # 278,683 when every state is searched afresh
+
+    def test_dead_states_freed_on_return(self):
+        D = h_2m(6)
+        gc.collect()
+        gc.disable()
+        try:
+            # no 9-cycle from v0: the search fails many states, none covering
+            assert cycles._lex_min_cycle_from(D._out, D._in, 0, 9, (1 << D.n) - 1) is None
+            assert gc.collect() == 0  # nothing waits for the cycle collector
+        finally:
+            gc.enable()
 
 
 class TestHamiltonian:

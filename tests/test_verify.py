@@ -1,10 +1,15 @@
 """Theorem verdicts, the 8-vertex-exception recognizer, and the search harness."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -309,7 +314,8 @@ def _inline_pool(monkeypatch) -> type:
             InlinePool.peak_in_flight = max(InlinePool.peak_in_flight, len(unread))
             return done
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    # run_search imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
     return InlinePool
 
@@ -347,6 +353,17 @@ class TestSearch:
         serial = run_search(self.CONFIG)
         parallel = run_search(self.CONFIG, workers=2)
         assert serial.render() == parallel.render()
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # Only a search with workers > 1 imports the process pool.
+        probe = "import sys, bipancyclic; print('multiprocessing' in sys.modules)"
+        src = str(Path(verify.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_zero_samples(self):
         r = run_search(SearchConfig(target=Theorem.T1_8, samples=0))
