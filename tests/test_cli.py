@@ -17,6 +17,7 @@ from bipancyclic import (
     complete_bipartite,
     d8,
     directed_cycle,
+    h_2m,
     serialize,
 )
 from bipancyclic import cli
@@ -301,6 +302,47 @@ class TestCertifyGoldens:
             rc, out, _ = run_cli(capsys, "certify", "--theorem", "1.10", d8_file, *extra)
             assert rc == 2
             assert out == (GOLDEN / f"certify-violation{suffix}.txt").read_text()
+
+
+COMMAND_GOLDENS = [
+    # (golden stem, arguments ahead of the input, input); each exits 0
+    ("check-bk1-d8", ("check", "--bk", "1"), d8()),
+    ("check-two-sided-d8", ("check", "--two-sided"), d8()),
+    ("cycles-d8", ("cycles",), d8()),
+    ("cycles-h2m-3", ("cycles",), h_2m(3)),  # general: no side size
+    ("cycles-length-6-d8", ("cycles", "--length", "6"), d8()),
+    ("cycles-length-8-d8", ("cycles", "--length", "8"), d8()),
+    ("cycles-longest-d8", ("cycles", "--longest-non-hamiltonian"), d8()),
+    (
+        "cycles-longest-directed-cycle-4",
+        ("cycles", "--longest-non-hamiltonian"),
+        directed_cycle(4),
+    ),
+    ("iso-d8-d8", ("iso-d8",), d8()),
+    ("iso-d8-directed-cycle-4", ("iso-d8",), directed_cycle(4)),
+]
+
+
+class TestCommandGoldens:
+    """check, cycles, iso-d8 and gen text and --json, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "stem,argv,D", COMMAND_GOLDENS, ids=[c[0] for c in COMMAND_GOLDENS]
+    )
+    def test_matches_golden(self, capsys, tmp_path, stem, argv, D):
+        path = tmp_path / "in.txt"
+        path.write_text(serialize(D))
+        for suffix, extra in (("", ()), ("-json", ("--json",))):
+            rc, out, err = run_cli(capsys, *argv, str(path), *extra)
+            assert rc == 0 and err == ""
+            assert out == (GOLDEN / f"{stem}{suffix}.txt").read_text()
+
+    def test_gen_matches_golden(self, capsys):
+        argv = ("gen", "--family", "h2m", "--size", "3")
+        for golden, extra in (("h2m-3.txt", ()), ("gen-h2m-3-json.txt", ("--json",))):
+            rc, out, err = run_cli(capsys, *argv, *extra)
+            assert rc == 0 and err == ""
+            assert out == (GOLDEN / golden).read_text()
 
 
 SEARCH_GRID = ("--a", "4", "5", "--p", "0.5", "0.9", "--samples", "40", "--seed", "3")
