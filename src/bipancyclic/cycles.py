@@ -182,11 +182,15 @@ def _has_cycle_cover(out: Sequence[int], allowed: int) -> bool:
                 return True
         return False
 
+    covered = True
     for v in _bits(allowed):
         seen = 0
         if not augment(v):
-            return False
-    return True
+            covered = False
+            break
+    # augment refers to itself; break the cycle as _lex_min_cycle_from does.
+    del augment
+    return covered
 
 
 # Most (visited set, end vertex) pairs one search remembers as dead, about

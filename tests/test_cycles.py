@@ -285,6 +285,11 @@ class TestDeadStates:
             # no 9-cycle from v0: the search fails many states, none covering
             assert cycles._lex_min_cycle_from(D._out, D._in, 0, 9, (1 << D.n) - 1) is None
             assert gc.collect() == 0  # nothing waits for the cycle collector
+            # m == n: a covering search, which runs the cycle-cover check
+            # first; h_2m(6) has a cycle cover and h_m_m1_1(3) has none
+            for H in (D, h_m_m1_1(3)):
+                assert cycles._lex_min_cycle_from(H._out, H._in, 0, H.n, (1 << H.n) - 1) is None
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
