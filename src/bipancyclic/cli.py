@@ -38,6 +38,7 @@ from .verify import (
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+_OUTCOME_CODES = {"conclusion": 0, "hypotheses-not-met": 1, "violation": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _finish(parser: _Parser, func, reads_input: bool = True) -> None:
+    """Add the arguments every subcommand ends with, and its command."""
+    if reads_input:
+        parser.add_argument("input", help="digraph file or - for stdin")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=func)
 
 
 def _build_parser() -> _Parser:
@@ -61,16 +70,13 @@ def _build_parser() -> _Parser:
     gen.add_argument("--size", type=int, default=None, help="side or cluster size")
     gen.add_argument("--mirrored", action="store_true", help="hm-m1-1: flip the link vertex")
     gen.add_argument("--both-link-arcs", action="store_true", help="h2m: add the reverse gate arc")
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=_cmd_gen)
+    _finish(gen, _cmd_gen, reads_input=False)
 
     check = sub.add_parser("check", help="evaluate a degree condition")
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--bk", type=int, help="margin k of the dominating-pair condition")
     group.add_argument("--two-sided", action="store_true", help="two-sided condition instead")
-    check.add_argument("input", help="digraph file or - for stdin")
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=_cmd_check)
+    _finish(check, _cmd_check)
 
     cycles = sub.add_parser("cycles", help="cycle spectrum or a single witness")
     pick = cycles.add_mutually_exclusive_group()
@@ -81,17 +87,13 @@ def _build_parser() -> _Parser:
         help="longest cycle below full order",
     )
     cycles.add_argument("--max-n", type=int, default=24, help="exhaustive-scan order cap")
-    cycles.add_argument("input", help="digraph file or - for stdin")
-    cycles.add_argument("--json", action="store_true")
-    cycles.set_defaults(func=_cmd_cycles)
+    _finish(cycles, _cmd_cycles)
 
     certify = sub.add_parser("certify", help="verdict for one catalog claim")
     certify.add_argument(
         "--theorem", required=True, choices=[t.value for t in Theorem], help="claim id"
     )
-    certify.add_argument("input", help="digraph file or - for stdin")
-    certify.add_argument("--json", action="store_true")
-    certify.set_defaults(func=_cmd_certify)
+    _finish(certify, _cmd_certify)
 
     search = sub.add_parser("search", help="seeded randomized counterexample search")
     search.add_argument(
@@ -107,13 +109,10 @@ def _build_parser() -> _Parser:
     search.add_argument(
         "--violations-dir", default=None, help="write violation packages here"
     )
-    search.add_argument("--json", action="store_true")
-    search.set_defaults(func=_cmd_search)
+    _finish(search, _cmd_search, reads_input=False)
 
     iso = sub.add_parser("iso-d8", help="isomorphism test against the 8-vertex exception")
-    iso.add_argument("input", help="digraph file or - for stdin")
-    iso.add_argument("--json", action="store_true")
-    iso.set_defaults(func=_cmd_iso)
+    _finish(iso, _cmd_iso)
 
     return parser
 
@@ -126,18 +125,11 @@ def _read_digraph(path: str) -> Digraph:
     return parse(text)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+# Each command takes the parsed arguments and the input digraph (None for
+# gen and search) and returns its exit code, its text and its JSON document.
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-# -- gen ---------------------------------------------------------------------
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _):
     spec = FamilySpec(
         family=Family(args.family),
         size=args.size,
@@ -146,124 +138,76 @@ def _cmd_gen(args) -> int:
     )
     D = generate(spec)
     text = serialize(D)
-    if args.json:
-        _emit_json(
-            {
-                "family": spec.family.value,
-                "size": spec.size,
-                "order": D.n,
-                "arcs": D.arc_count,
-                "serialization": text,
-            }
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0, text, {
+        "family": spec.family.value,
+        "size": spec.size,
+        "order": D.n,
+        "arcs": D.arc_count,
+        "serialization": text,
+    }
 
 
-# -- check -------------------------------------------------------------------
+def _pair(pair) -> list[str] | None:
+    return None if pair is None else [str(pair.u), str(pair.v)]
 
 
-def _cmd_check(args) -> int:
-    D = _read_digraph(args.input)
+def _cmd_check(args, D: Digraph):
     if args.two_sided:
         holds, bad = check_two_sided_condition(D)
-        if args.json:
-            payload = {
-                "condition": "two-sided",
-                "holds": holds,
-                "failing_pair": None if bad is None else [str(bad.u), str(bad.v)],
-            }
-            _emit_json(payload)
-        else:
-            lines = ["condition: two-sided", f"holds: {'true' if holds else 'false'}"]
-            if bad is not None:
-                lines.append(f"failing_pair: {bad.u} {bad.v}")
-            _emit("\n".join(lines))
-        return 0
+        lines = ["condition: two-sided", f"holds: {'true' if holds else 'false'}"]
+        if bad is not None:
+            lines.append(f"failing_pair: {bad.u} {bad.v}")
+        return 0, "\n".join(lines), {
+            "condition": "two-sided",
+            "holds": holds,
+            "failing_pair": _pair(bad),
+        }
     report = check_bk(D, args.bk)
-    if args.json:
-        _emit_json(
-            {
-                "condition": f"B_{report.k}",
-                "k": report.k,
-                "threshold": report.threshold,
-                "pairs_checked": report.pairs_checked,
-                "holds": report.holds,
-                "worst_pair": None
-                if report.worst_pair is None
-                else [str(report.worst_pair.u), str(report.worst_pair.v)],
-                "worst_max_degree": report.worst_degree,
-            }
-        )
-    else:
-        _emit(report.render())
-    return 0
+    return 0, report.render(), {
+        "condition": f"B_{report.k}",
+        "k": report.k,
+        "threshold": report.threshold,
+        "pairs_checked": report.pairs_checked,
+        "holds": report.holds,
+        "worst_pair": _pair(report.worst_pair),
+        "worst_max_degree": report.worst_degree,
+    }
 
 
-# -- cycles ------------------------------------------------------------------
+def _one_cycle(key: str, value: int | None, cycle):
+    """A single-cycle answer: the key's value and its cycle, or absent."""
+    shown = None if cycle is None else str(cycle)
+    text = f"{key}: {'absent' if value is None else value}"
+    if value is not None:
+        text += f"\ncycle: {shown or 'absent'}"
+    return 0, text, {key: value, "cycle": shown}
 
 
-def _cmd_cycles(args) -> int:
-    D = _read_digraph(args.input)
+def _cmd_cycles(args, D: Digraph):
     if args.length is not None:
-        cycle = find_cycle_of_length(D, args.length)
-        if args.json:
-            _emit_json(
-                {
-                    "length": args.length,
-                    "cycle": None if cycle is None else str(cycle),
-                }
-            )
-        else:
-            _emit(
-                f"length: {args.length}\ncycle: "
-                + ("absent" if cycle is None else str(cycle))
-            )
-        return 0
+        return _one_cycle("length", args.length, find_cycle_of_length(D, args.length))
     if args.longest_non_hamiltonian:
         cycle = longest_non_hamiltonian_cycle(D, max_n=args.max_n)
-        if args.json:
-            _emit_json(
-                {
-                    "longest_non_hamiltonian": None if cycle is None else cycle.length,
-                    "cycle": None if cycle is None else str(cycle),
-                }
-            )
-        elif cycle is None:
-            _emit("longest_non_hamiltonian: absent")
-        else:
-            _emit(f"longest_non_hamiltonian: {cycle.length}\ncycle: {cycle}")
-        return 0
-    spectrum = cycle_spectrum(D, max_n=args.max_n)
-    if args.json:
-        _emit_json(
-            {
-                "order": spectrum.order,
-                "side_size": spectrum.side_size,
-                "lengths": list(spectrum.lengths()),
-                "witnesses": {str(m): str(c) for m, c in spectrum.witnesses},
-                "even_pancyclic": spectrum.is_even_pancyclic()
-                if spectrum.side_size is not None
-                else None,
-            }
+        return _one_cycle(
+            "longest_non_hamiltonian", None if cycle is None else cycle.length, cycle
         )
-    else:
-        lines = [f"order: {spectrum.order}"]
-        if spectrum.side_size is not None:
-            lines.append(f"side_size: {spectrum.side_size}")
-        lines.append("lengths: " + (" ".join(str(m) for m in spectrum.lengths()) or "none"))
-        for m, c in spectrum.witnesses:
-            lines.append(f"cycle {m}: {c}")
-        if spectrum.side_size is not None:
-            lines.append(
-                f"even_pancyclic: {'true' if spectrum.is_even_pancyclic() else 'false'}"
-            )
-        _emit("\n".join(lines))
-    return 0
-
-
-# -- certify -------------------------------------------------------------------
+    spectrum = cycle_spectrum(D, max_n=args.max_n)
+    bipartite = spectrum.side_size is not None
+    even = spectrum.is_even_pancyclic() if bipartite else None
+    lines = [f"order: {spectrum.order}"]
+    if bipartite:
+        lines.append(f"side_size: {spectrum.side_size}")
+    lines.append("lengths: " + (" ".join(str(m) for m in spectrum.lengths()) or "none"))
+    lines.extend(f"cycle {m}: {c}" for m, c in spectrum.witnesses)
+    if bipartite:
+        lines.append(f"even_pancyclic: {'true' if even else 'false'}")
+    return 0, "\n".join(lines), {
+        "order": spectrum.order,
+        "side_size": spectrum.side_size,
+        "lengths": list(spectrum.lengths()),
+        "witnesses": {str(m): str(c) for m, c in spectrum.witnesses},
+        "even_pancyclic": even,
+    }
 
 
 def render_verdict(verdict: TheoremVerdict) -> str:
@@ -279,36 +223,20 @@ def render_verdict(verdict: TheoremVerdict) -> str:
     return "\n".join(lines)
 
 
-def verdict_exit_code(verdict: TheoremVerdict) -> int:
-    return {"conclusion": 0, "hypotheses-not-met": 1, "violation": 2}[verdict.outcome]
-
-
-def _cmd_certify(args) -> int:
-    D = _read_digraph(args.input)
+def _cmd_certify(args, D: Digraph):
     verdict = verify_theorem(D, Theorem(args.theorem))
-    if args.json:
-        _emit_json(
-            {
-                "claim": verdict.theorem.value,
-                "hypotheses": {
-                    "satisfied": verdict.hypotheses.satisfied,
-                    "failures": list(verdict.hypotheses.failures),
-                },
-                "outcome": verdict.outcome,
-                "conclusion": None
-                if verdict.conclusion is None
-                else verdict.conclusion.to_json(),
-            }
-        )
-    else:
-        _emit(render_verdict(verdict))
-    return verdict_exit_code(verdict)
+    return _OUTCOME_CODES[verdict.outcome], render_verdict(verdict), {
+        "claim": verdict.theorem.value,
+        "hypotheses": {
+            "satisfied": verdict.hypotheses.satisfied,
+            "failures": list(verdict.hypotheses.failures),
+        },
+        "outcome": verdict.outcome,
+        "conclusion": None if verdict.conclusion is None else verdict.conclusion.to_json(),
+    }
 
 
-# -- search --------------------------------------------------------------------
-
-
-def _cmd_search(args) -> int:
+def _cmd_search(args, _):
     config = SearchConfig(
         target=Theorem(args.target),
         a_values=tuple(args.a),
@@ -319,51 +247,44 @@ def _cmd_search(args) -> int:
     report = run_search(config, workers=args.workers)
     if args.violations_dir is not None and report.violations:
         write_violations(report, args.violations_dir)
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        _emit(report.render())
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
-    return 2 if report.violations else 0
+    return 2 if report.violations else 0, report.render(), report.to_json()
 
 
-# -- iso-d8 --------------------------------------------------------------------
-
-
-def _cmd_iso(args) -> int:
-    D = _read_digraph(args.input)
+def _cmd_iso(args, D: Digraph):
     witness = iso_to_D8(D)
-    if args.json:
-        _emit_json(
-            {
-                "isomorphic": witness is not None,
-                "side_swap": None if witness is None else witness.side_swap,
-                "mapping": None
-                if witness is None
-                else {str(s): str(d) for s, d in witness.mapping},
-            }
-        )
-    elif witness is None:
-        _emit("isomorphic: false")
-    else:
-        _emit(f"isomorphic: true\nmapping: {witness.render()}")
-    return 0
+    if witness is None:
+        return 0, "isomorphic: false", {
+            "isomorphic": False,
+            "side_swap": None,
+            "mapping": None,
+        }
+    return 0, f"isomorphic: true\nmapping: {witness.render()}", {
+        "isomorphic": True,
+        "side_swap": witness.side_swap,
+        "mapping": {str(s): str(d) for s, d in witness.mapping},
+    }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else USAGE_ERROR
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help, USAGE_ERROR from _Parser.error
+        return exc.code
     try:
-        return args.func(args)
+        D = _read_digraph(args.input) if "input" in args else None
+        code, text, payload = args.func(args, D)
+    except UnicodeDecodeError as exc:  # only reading the input decodes bytes
+        name = "stdin" if args.input == "-" else args.input
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except (DigraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    if args.json:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bipancyclic import (
     BipartiteDigraph,
@@ -471,6 +473,48 @@ class TestErrors:
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "cycles", "/nonexistent/d.txt")
         assert rc == 65 and err.startswith("error: ")
+
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"bipartite a=2\nx0 y0\n\xff\n")
+        rc, out, err = run_cli(capsys, "cycles", str(path))
+        assert rc == 65 and out == ""
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 20:"
+            " invalid start byte\n"
+        )
+
+    def test_non_utf8_stdin_is_data_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xfe"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc, out, err = run_cli(capsys, "iso-d8", "-")
+        assert rc == 65 and out == ""
+        assert err.startswith("error: stdin: 'utf-8' codec can't decode byte 0xfe")
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        argv=st.sampled_from(
+            [("check", "--bk", "1"), ("cycles",), ("certify", "--theorem", "1.10"), ("iso-d8",)]
+        ),
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                bytes.__add__,
+                st.sampled_from([b"bipartite a=2\n", b"general n=3\n", b"x0 y0\n"]),
+                st.binary(max_size=64),
+            ),
+        ),
+    )
+    def test_arbitrary_bytes_exit_with_a_documented_code(self, capsys, tmp_path, argv, data):
+        path = tmp_path / "in.bin"
+        path.write_bytes(data)
+        rc, _, err = run_cli(capsys, *argv, str(path))  # nothing escapes main
+        assert rc in (0, 1, 2, 65)
+        assert (rc == 65) == err.startswith("error: ")
 
 
 def test_module_entry_point_pipe(tmp_path):
