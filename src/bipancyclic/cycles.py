@@ -33,7 +33,7 @@ order without sorting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex, _bits, _reach
 from .errors import BadLength, InvalidCycle, PreconditionUnmet, TooLarge, WitnessNotFound
@@ -278,15 +278,6 @@ def _lex_min_cycle_from(
     return path if found else None
 
 
-def _ladder(
-    out: Sequence[int], inn: Sequence[int], x: int, allowed: int
-) -> Iterator[tuple[int, list[int] | None]]:
-    """Lemma 3.3's ladder: each even m from 2 to len(allowed) - 1 with the
-    least m-cycle starting at x inside allowed (x included), or None."""
-    for m in range(2, allowed.bit_count(), 2):
-        yield m, _lex_min_cycle_from(out, inn, x, m, allowed)
-
-
 def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
     """Lex-min cycle of exactly m vertices, or None."""
     out, inn = D._out, D._in
@@ -436,8 +427,9 @@ def cycles_through_vertex(
     lengths is claimed to exist; a missing length raises WitnessNotFound,
     which callers treat as a checked counterexample.  Each witness is the
     first cycle found by the deterministic search rooted at x, rotated to
-    start at its least vertex.  The ladder itself is ``_ladder``, the core
-    the search's lemma 3.3 evaluator also walks, on index masks.
+    start at its least vertex: the least m-cycle through x is needed here,
+    so every rung runs the DFS.  The search's lemma 3.3 evaluator settles
+    rungs from the cycle's own arcs instead (verify._eval_l3_3).
     """
     if not isinstance(D, BipartiteDigraph):
         raise PreconditionUnmet("host must be balanced bipartite")
@@ -456,7 +448,8 @@ def cycles_through_vertex(
     for v in C.vertices:
         allowed |= 1 << D._index(v)
     found: dict[int, Cycle] = {}
-    for m, hit in _ladder(D._out, D._in, xi, allowed):
+    for m in range(2, allowed.bit_count(), 2):
+        hit = _lex_min_cycle_from(D._out, D._in, xi, m, allowed)
         if hit is None:
             raise WitnessNotFound(
                 f"no cycle of length {m} through {xv} within the cycle vertices"

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import permutations
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .conditions import (
     HypothesisReport,
@@ -40,7 +40,7 @@ from .conditions import (
 from .cycles import (
     Cycle,
     _find_cycle_indices,
-    _ladder,
+    _lex_min_cycle_from,
     check_cycle,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
@@ -556,10 +556,41 @@ def _eval_claim(row: _Row, conclude: _Conclude, D: BipartiteDigraph) -> tuple[in
     return 1, []
 
 
+def _segment_rungs(
+    out: Sequence[int], inn: Sequence[int], x: int, hit: list[int]
+) -> dict[int, int]:
+    """Lemma 3.3's rungs that x closes with one stretch of the cycle ``hit``.
+
+    Maps each even m in 2..len(hit) with a cycle x -> hit[i] -> ... ->
+    hit[i + m - 2] -> x (positions mod len(hit)) to the least such i.  heads
+    holds the positions x sends an arc to, tails the positions that send one
+    to x; doubling tails makes its shift by m - 2 wrap around the cycle.
+    """
+    heads = tails = 0
+    for i, c in enumerate(hit):
+        heads |= (out[x] >> c & 1) << i
+        tails |= (inn[x] >> c & 1) << i
+    tails |= tails << len(hit)
+    return {
+        m: (both & -both).bit_length() - 1
+        for m in range(2, len(hit) + 1, 2) if (both := heads & tails >> m - 2)
+    }
+
+
 def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     """Lemma 3.3 on index masks: for each cycle length 2b < 2a, the least
-    2b-cycle and any vertex off it with >= b + 1 arcs to it form one unit,
-    whose ladder (``_ladder``, cycles_through_vertex's core) must reach 2b.
+    2b-cycle C and any vertex x off it with >= b + 1 arcs to it form one
+    unit, whose ladder of cycles through x inside V(C) + x must reach 2b.
+
+    Each rung m is first settled by a segment (``_segment_rungs``): x, then
+    m - 1 consecutive vertices of C, back to x, which exists exactly when
+    some position x sends an arc to is m - 2 steps before one that sends an
+    arc to x.  That settles every rung of every unit.  x lies on one side,
+    so its arcs meet only the b positions of C on the other side, and a shift
+    by the even m - 2 permutes those positions; heads and a shifted tails
+    have more than b members between them, so they meet.  A rung left open
+    would go to the exhaustive DFS (``_lex_min_cycle_from``), so a missing
+    rung is reported only when no such cycle exists.
 
     check_cycle re-checks each cycle that has a unit, once per cycle rather
     than once per unit.  A missing rung gives the claim text of the
@@ -586,8 +617,10 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
         check_cycle(D, [D._vertex(i) for i in hit])
         satisfying += len(units)
         for x in units:
-            for m, cycle in _ladder(out, inn, x, cmask | 1 << x):
-                if cycle is None:
+            settled = _segment_rungs(out, inn, x, hit)
+            allowed = cmask | 1 << x
+            for m in range(2, 2 * b + 1, 2):
+                if m not in settled and _lex_min_cycle_from(out, inn, x, m, allowed) is None:
                     claims.append(
                         f"no cycle of length {m} through {D._vertex(x)}"
                         " within the cycle vertices"

@@ -678,25 +678,72 @@ class TestLemma33Evaluator:
                     used.append(C.vertices)
             assert checked == used
 
+    def test_segments_settle_every_rung(self, monkeypatch):
+        # x's arcs meet only C's b positions on the other side, and an even
+        # shift permutes them, so b + 1 arcs always give a segment cycle: the
+        # DFS fallback is never reached, wrap-around segments included.
+        calls = []
+        dfs = verify._lex_min_cycle_from
+
+        def counted(*args):
+            calls.append(args)
+            return dfs(*args)
+
+        monkeypatch.setattr(verify, "_lex_min_cycle_from", counted)
+        units = sum(verify._eval_l3_3(D)[0] for D in self.SAMPLES)
+        assert units > 1000
+        assert calls == []
+
+    def test_fallback_alone_matches_public_rebuild(self, monkeypatch):
+        monkeypatch.setattr(verify, "_segment_rungs", lambda out, inn, x, hit: {})
+        for D in self.SAMPLES:
+            assert verify._eval_l3_3(D) == _eval_l3_3_public(D)
+
+    @given(bipartite_digraphs(min_a=2, max_a=6))
+    @settings(max_examples=150, deadline=None)
+    def test_settled_segments_are_cycles(self, D):
+        # Each settled rung, rebuilt as x followed by m - 1 consecutive cycle
+        # vertices from the reported position, is an m-cycle through x; a
+        # unit's vertex has every rung settled.
+        for b in range(1, D.a):
+            hit = cycles._find_cycle_indices(D, 2 * b)
+            if hit is None:
+                continue
+            C = [D._vertex(i) for i in hit]
+            for x in D.vertices():
+                if x in C:
+                    continue
+                xi = D._index(x)
+                settled = verify._segment_rungs(D._out, D._in, xi, hit)
+                for m, i in settled.items():
+                    segment = [C[(i + k) % (2 * b)] for k in range(m - 1)]
+                    cycle = check_cycle(D, [x, *segment])
+                    assert cycle.length == m and x in cycle.vertices
+                if D.restricted_degree(x, C) > b:
+                    assert sorted(settled) == list(range(2, 2 * b + 1, 2))
+
     def test_missing_rung_claim_text(self, monkeypatch):
-        # A ladder core missing every rung from 4 up: the evaluator reports
-        # each ladder's first gap with the text the public path builds from
-        # WitnessNotFound.
-        ladder = cycles._ladder
-
-        def broken(out, inn, x, allowed):
-            for m, hit in ladder(out, inn, x, allowed):
-                yield m, None if m >= 4 else hit
-
-        monkeypatch.setattr(cycles, "_ladder", broken)
-        monkeypatch.setattr(verify, "_ladder", broken)
+        # With no rung settled by a segment and a DFS that loses every rung
+        # from 4 up, the evaluator reports each ladder's first gap with the
+        # text cycles_through_vertex raises for that gap.
         D = complete_bipartite(4)
+        C = find_cycle_of_length(D, 4)
+        dfs = cycles._lex_min_cycle_from
+
+        def losing(out, inn, x, m, allowed):
+            return None if m >= 4 else dfs(out, inn, x, m, allowed)
+
+        monkeypatch.setattr(verify, "_segment_rungs", lambda out, inn, x, hit: {})
+        monkeypatch.setattr(verify, "_lex_min_cycle_from", losing)
         got = verify._eval_l3_3(D)
-        assert got == _eval_l3_3_public(D)
         # units: the 2-cycle with 6 off-cycle vertices, the 4- and 6-cycles
         # with 4 and 2; the 6 ladders that reach length 4 each give one claim
         assert got[0] == 12 and len(got[1]) == 6
         assert got[1][0] == "no cycle of length 4 through x2 within the cycle vertices"
+        monkeypatch.setattr(cycles, "_lex_min_cycle_from", losing)
+        with pytest.raises(WitnessNotFound) as exc:
+            cycles_through_vertex(D, C, "x2")
+        assert str(exc.value) == got[1][0]
 
 
 class TestViolationFiles:
