@@ -430,6 +430,26 @@ class TestIsoD8Command:
         assert payload == {"isomorphic": False, "mapping": None, "side_swap": None}
 
 
+USAGE_GOLDENS = [
+    # (golden stem, arguments); parsing fails before the input is opened
+    ("usage-no-subcommand", ()),
+    ("usage-certify-bad-theorem", ("certify", "--theorem", "9.9", "in.txt")),
+    ("usage-cycles-bad-length", ("cycles", "--length", "x", "in.txt")),
+]
+
+
+class TestUsageErrorGoldens:
+    """Usage errors: the usage line and message on stderr, byte for byte,
+    then the exit code (64)."""
+
+    @pytest.mark.parametrize("stem,argv", USAGE_GOLDENS, ids=[c[0] for c in USAGE_GOLDENS])
+    def test_matches_golden(self, capsys, monkeypatch, stem, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        rc, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert f"{err}exit code: {rc}\n" == (GOLDEN / f"{stem}.txt").read_text()
+
+
 class TestErrors:
     def test_no_subcommand(self, capsys):
         rc, _, _ = run_cli(capsys)

@@ -324,6 +324,18 @@ class TestHamiltonian:
         with pytest.raises(TooLarge):
             longest_non_hamiltonian_cycle(complete_bipartite(13))
 
+    @given(st.one_of(bipartite_digraphs(min_a=1, max_a=4), general_digraphs(min_n=1, max_n=7)))
+    def test_longest_non_hamiltonian_matches_naive(self, D):
+        # naive_cycles lists cycles of equal length in lexicographic order
+        shorter = [c for c in naive_cycles(D) if len(c) < D.n]
+        got = longest_non_hamiltonian_cycle(D)
+        if not shorter:
+            assert got is None
+        else:
+            top = max(len(c) for c in shorter)
+            assert got is not None and got.length == top
+            assert got.vertices == next(c for c in shorter if len(c) == top)
+
 
 class TestCycleCover:
     @given(st.data())

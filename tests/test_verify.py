@@ -267,6 +267,15 @@ class TestIsoD8:
             w = iso_to_D8(D)
             assert w is not None and _witness_maps_arcs(w, D, base)
             assert naive_isomorphism(D, base) is not None
+            # The same digraph as a general one, x_i -> v_i and y_j -> v_{4+j},
+            # gets the same witness under the translated names.
+            general = lambda s: f"v{int(s[1:]) + (4 if s[0] == 'y' else 0)}"
+            G = Digraph(8, [(general(str(u)), general(str(v))) for u, v in D.arcs()])
+            g = iso_to_D8(G)
+            assert g is not None and g.side_swap == w.side_swap
+            assert [(str(s), str(d)) for s, d in g.mapping] == [
+                (general(str(s)), str(d)) for s, d in w.mapping
+            ]
 
     def test_random_20_arc_digraphs_agree_with_naive(self):
         rng = random.Random(7)
