@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .conditions import Theorem, check_bk, check_two_sided_condition
 from .cycles import (
+    DEFAULT_MAX_ORDER,
     cycle_spectrum,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
@@ -41,14 +42,7 @@ DATA_ERROR = 65
 _OUTCOME_CODES = {"conclusion": 0, "hypotheses-not-met": 1, "violation": 2}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
-def _finish(parser: _Parser, func, reads_input: bool = True) -> None:
+def _finish(parser: argparse.ArgumentParser, func, reads_input: bool = True) -> None:
     """Add the arguments every subcommand ends with, and its command."""
     if reads_input:
         parser.add_argument("input", help="digraph file or - for stdin")
@@ -56,14 +50,14 @@ def _finish(parser: _Parser, func, reads_input: bool = True) -> None:
     parser.set_defaults(func=func)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="bipancyclic",
         description="Degree conditions, cycle spectra, and claim verdicts "
         "for balanced bipartite digraphs.",
         epilog="Input/output formats and exit codes are documented in docs/formats.md.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit the canonical member of a family")
     gen.add_argument("--family", required=True, choices=[f.value for f in Family])
@@ -86,7 +80,9 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="longest cycle below full order",
     )
-    cycles.add_argument("--max-n", type=int, default=24, help="exhaustive-scan order cap")
+    cycles.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_ORDER, help="exhaustive-scan order cap"
+    )
     _finish(cycles, _cmd_cycles)
 
     certify = sub.add_parser("certify", help="verdict for one catalog claim")
@@ -259,18 +255,15 @@ def _cmd_iso(args, D: Digraph):
             "side_swap": None,
             "mapping": None,
         }
-    return 0, f"isomorphic: true\nmapping: {witness.render()}", {
-        "isomorphic": True,
-        "side_swap": witness.side_swap,
-        "mapping": {str(s): str(d) for s, d in witness.mapping},
-    }
+    text = f"isomorphic: true\nmapping: {witness.render()}"
+    return 0, text, {"isomorphic": True, **witness.to_json()}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # 0 after --help, USAGE_ERROR from _Parser.error
-        return exc.code
+    except SystemExit as exc:  # 0 after --help, 2 after a usage error
+        return USAGE_ERROR if exc.code == 2 else exc.code
     try:
         D = _read_digraph(args.input) if "input" in args else None
         code, text, payload = args.func(args, D)

@@ -293,8 +293,11 @@ def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
     non-Hamiltonian cycle of length >= 4 with a gap-1 bypass (3.4).  Lemma
     3.3 has no clause on the digraph, so every bipartite input satisfies it
     here.  Raises TooLarge for lemma 3.4 when its premise scan runs above the
-    longest-cycle scan's order cap.
+    longest-cycle scan's order cap, and BadParams when theorem is not a
+    Theorem member.
     """
+    if not isinstance(theorem, Theorem):
+        raise BadParams(f"theorem must be a Theorem member, got {theorem!r}")
     if not isinstance(D, BipartiteDigraph):
         return HypothesisReport(theorem, ("structure: not a balanced bipartite digraph",))
     failed, premise = _walk(D, _CLAUSES[theorem], stop=False)

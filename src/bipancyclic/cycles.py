@@ -281,13 +281,12 @@ def _lex_min_cycle_from(
 def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
     """Lex-min cycle of exactly m vertices, or None."""
     out, inn = D._out, D._in
-    allowed = todo = (1 << D.n) - 1
-    while todo:
-        low = todo & -todo
-        start = low.bit_length() - 1
-        rest = allowed & ~(low - 1)  # start and all later vertices
+    rest = (1 << D.n) - 1  # the current start and every later vertex
+    while rest:
         if rest.bit_count() < m:
             return None
+        low = rest & -rest
+        start = low.bit_length() - 1
         # Starts ascend in canonical order and branches only use later
         # vertices, so the first hit is the global lex-min witness.  A cycle
         # through start stays in start's strong component within rest.
@@ -296,7 +295,7 @@ def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
             hit = _lex_min_cycle_from(out, inn, start, m, core)
             if hit is not None:
                 return hit
-        todo ^= low
+        rest ^= low
     return None
 
 
@@ -323,14 +322,13 @@ def cycle_spectrum(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> CycleSpectrum:
     """All achievable cycle lengths with lex-min witnesses.
 
     Exhaustive, so the order is capped: raises TooLarge above max_n.  In a
-    bipartite host only even lengths are tried.
+    bipartite host find_cycle_of_length answers every odd length at once.
     """
     if D.n > max_n:
         raise TooLarge(f"spectrum scan capped at order {max_n}, got {D.n}")
     side = D.a if isinstance(D, BipartiteDigraph) else None
     witnesses = []
-    step = 2 if side is not None else 1
-    for m in range(2, D.n + 1, step):
+    for m in range(2, D.n + 1):
         cycle = find_cycle_of_length(D, m)
         if cycle is not None:
             witnesses.append((m, cycle))
@@ -349,14 +347,10 @@ def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) ->
     cycle exists.  Raises TooLarge above max_n."""
     if D.n > max_n:
         raise TooLarge(f"longest-cycle scan capped at order {max_n}, got {D.n}")
-    step = 2 if isinstance(D, BipartiteDigraph) else 1
-    top = D.n - 1
-    if step == 2 and top % 2:
-        top -= 1
-    for m in range(top, 1, -step):
-        hit = _find_cycle_indices(D, m)
-        if hit is not None:
-            return Cycle(tuple(D._vertex(i) for i in hit))
+    for m in range(D.n - 1, 1, -1):  # an odd m in a bipartite host is None at once
+        cycle = find_cycle_of_length(D, m)
+        if cycle is not None:
+            return cycle
     return None
 
 

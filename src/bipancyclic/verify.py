@@ -25,7 +25,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -67,8 +67,9 @@ class IsomorphismWitness:
     """An arc-exact bijection onto the 8-vertex exception.
 
     mapping lists (source, image) pairs sorted by source.  side_swap records
-    whether the bijection exchanges the two partite classes; for a general
-    input the class containing v0 plays the x role.
+    whether the bijection exchanges the two partite classes.  In both digraph
+    classes the x role goes to the 4-set holding x0 or v0 that every arc
+    crosses: the x side of a bipartite input, v0's class of a general one.
     """
 
     mapping: tuple[tuple[Vertex, Vertex], ...]
@@ -78,6 +79,13 @@ class IsomorphismWitness:
         pairs = " ".join(f"{s}->{d}" for s, d in self.mapping)
         swap = "swapped" if self.side_swap else "preserved"
         return f"sides {swap}: {pairs}"
+
+    def to_json(self) -> dict:
+        """The side_swap and mapping keys of certify's and iso-d8's JSON."""
+        return {
+            "side_swap": self.side_swap,
+            "mapping": {str(s): str(d) for s, d in self.mapping},
+        }
 
 
 @dataclass(frozen=True)
@@ -135,11 +143,7 @@ class Conclusion:
             return {"kind": self.kind, "cycles": {str(m): str(c) for m, c in self.cycles}}
         if self.kind == "d8-isomorphism":
             assert self.isomorphism is not None
-            return {
-                "kind": self.kind,
-                "side_swap": self.isomorphism.side_swap,
-                "mapping": {str(s): str(d) for s, d in self.isomorphism.mapping},
-            }
+            return {"kind": self.kind, **self.isomorphism.to_json()}
         if self.kind == "violation":
             return {"kind": self.kind, "claim": self.claim, "counterexample": self.serialization}
         payload = {"kind": self.kind, "cycle": str(self.cycle)}
@@ -275,16 +279,17 @@ def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
     """Check one catalog statement's hypotheses and, when they hold, its
     conclusion.
 
-    Raises BadParams for lemma 3.3, which has no per-digraph verdict (search
-    replays it), and TooLarge for lemmas 3.2 and 3.4 above the longest-cycle
-    scan's order cap.
+    Raises BadParams when theorem is not a Theorem member (from
+    check_theorem_hypotheses) and for lemma 3.3, which has no per-digraph
+    verdict (search replays it), and TooLarge for lemmas 3.2 and 3.4 above
+    the longest-cycle scan's order cap.
     """
+    hyp = check_theorem_hypotheses(D, theorem)  # lemma 3.3's row is empty
     if theorem not in _CONCLUSIONS:
         raise BadParams(
             f"{theorem.value} is stated per (cycle, vertex) pair, not per digraph;"
             f" replay it with search --target {theorem.value}"
         )
-    hyp = check_theorem_hypotheses(D, theorem)
     if not hyp.satisfied:
         return TheoremVerdict(theorem, hyp, None)
     assert isinstance(D, BipartiteDigraph)
@@ -301,53 +306,31 @@ _D8_ARCS = frozenset(
 _D8_DEGREES = tuple(sorted(_D8.degree(v).total for v in _D8.vertices()))
 
 
-def _two_coloring(D: Digraph) -> tuple[list[int], list[int]] | None:
-    """Split indices into two classes with every arc crossing, v0's class
-    first; None if impossible or the underlying graph is disconnected."""
-    und = [D._out[i] | D._in[i] for i in range(D.n)]
-    color = [-1] * D.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        m = und[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            if color[j] == -1:
-                color[j] = 1 - color[i]
-                queue.append(j)
-            elif color[j] == color[i]:
-                return None
-    if -1 in color:
-        return None
-    return (
-        [i for i in range(D.n) if color[i] == 0],
-        [i for i in range(D.n) if color[i] == 1],
-    )
-
-
 def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
     """Arc-exact isomorphism onto the canonical 8-vertex exception, or None.
 
-    Fast-rejects on order, arc count, bipartite structure, and the degree
-    multiset, then tries all 2 * 4! * 4! side-respecting bijections in a
-    fixed order (sides preserved before swapped, then lexicographic on the
-    two index permutations), so the returned witness is deterministic.
+    Fast-rejects on order, arc count and the degree multiset.  The x role then
+    goes to the 4-set of indices holding index 0 (x0 of a bipartite input, v0
+    of a general one) that every arc crosses, for both digraph classes; None
+    if there is no such set.  A digraph with the exception's degrees has a
+    connected underlying graph, so there is at most one, and for a bipartite
+    input it is the x side.  All 2 * 4! * 4! side-respecting bijections are
+    then tried in a fixed order (sides preserved before swapped, then
+    lexicographic on the two index permutations), so the returned witness is
+    deterministic.
     """
     if D.n != 8 or D.arc_count != 20:
         return None
-    if isinstance(D, BipartiteDigraph):
-        xs, ys = [0, 1, 2, 3], [4, 5, 6, 7]
-    else:
-        split = _two_coloring(D)
-        if split is None or len(split[0]) != 4:
-            return None
-        xs, ys = split
     if tuple(sorted(D.degree(v).total for v in D.vertices())) != _D8_DEGREES:
         return None
     arcs = [(D._index(u), D._index(v)) for u, v in D.arcs()]
+    for rest in combinations(range(1, 8), 3):
+        xs = [0, *rest]
+        if all((u in xs) != (v in xs) for u, v in arcs):
+            break
+    else:
+        return None
+    ys = [i for i in range(8) if i not in xs]
     for swap in (False, True):
         left, right = (xs, ys) if not swap else (ys, xs)
         for sx in permutations(range(4)):

@@ -17,7 +17,6 @@ from bipancyclic import (
     Family,
     FamilySpec,
     SearchConfig,
-    SearchTarget,
     Theorem,
     check_bk,
     check_family,
@@ -168,7 +167,7 @@ def test_criterion_05_theorem_1_10_randomized():
     started = time.perf_counter()
     report = run_search(
         SearchConfig(
-            target=SearchTarget.T1_10,
+            target=Theorem.T1_10,
             a_values=GRID_A,
             p_values=GRID_P,
             samples=100_000,
@@ -193,7 +192,7 @@ def test_criterion_05_theorem_1_10_randomized():
 def test_criterion_06_theorems_1_8_1_9_randomized():
     started = time.perf_counter()
     reports = {}
-    for target in (SearchTarget.T1_8, SearchTarget.T1_9):
+    for target in (Theorem.T1_8, Theorem.T1_9):
         reports[target] = run_search(
             SearchConfig(
                 target=target,
@@ -210,8 +209,8 @@ def test_criterion_06_theorems_1_8_1_9_randomized():
         6,
         ok,
         f"claims 1.8 and 1.9 randomized: "
-        f"{reports[SearchTarget.T1_8].hypothesis_satisfying} + "
-        f"{reports[SearchTarget.T1_9].hypothesis_satisfying} = {combined} "
+        f"{reports[Theorem.T1_8].hypothesis_satisfying} + "
+        f"{reports[Theorem.T1_9].hypothesis_satisfying} = {combined} "
         f"hypothesis-satisfying (>= 100000), {violations} violations "
         f"({time.perf_counter() - started:.0f}s)",
     )
@@ -221,7 +220,7 @@ def test_criterion_07_lemmas_3_2_3_4():
     started = time.perf_counter()
     counts = {}
     violations = 0
-    for target in (SearchTarget.L3_2, SearchTarget.L3_4):
+    for target in (Theorem.L3_2, Theorem.L3_4):
         report = run_search(
             SearchConfig(
                 target=target,
@@ -247,7 +246,7 @@ def test_criterion_08_lemma_3_3_triples():
     started = time.perf_counter()
     report = run_search(
         SearchConfig(
-            target=SearchTarget.L3_3,
+            target=Theorem.L3_3,
             a_values=(4, 5),
             p_values=GRID_P,
             samples=3_000,

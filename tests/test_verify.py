@@ -142,6 +142,14 @@ class TestVerdicts:
         with pytest.raises(BadParams, match="search --target 3.3"):
             verify_theorem(d8(), Theorem.L3_3)
 
+    @pytest.mark.parametrize("theorem", ["1.10", None])
+    def test_theorem_must_be_a_member(self, theorem):
+        message = f"theorem must be a Theorem member, got {theorem!r}"
+        for check in (verify_theorem, check_theorem_hypotheses):
+            with pytest.raises(BadParams) as info:
+                check(d8(), theorem)
+            assert str(info.value) == message
+
     def test_certificate_violation_path(self):
         out = _certificate(directed_cycle(4), 8)
         assert out.kind == "violation"
