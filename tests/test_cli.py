@@ -19,6 +19,7 @@ from bipancyclic import (
     complete_bipartite,
     d8,
     directed_cycle,
+    SearchConfig,
     h_2m,
     serialize,
 )
@@ -255,6 +256,7 @@ NOT_STRONG_A3 = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
 CERTIFY_GOLDENS = [
     # (golden stem, claim, input, exit code)
     ("1.6-complete-bipartite-4", "1.6", complete_bipartite(4), 0),
+    ("1.6-d8", "1.6", d8(), 1),  # the two-sided condition fails
     ("1.7-complete-bipartite-4", "1.7", complete_bipartite(4), 0),
     ("1.8-directed-cycle-4", "1.8", directed_cycle(4), 0),
     ("1.8-d8", "1.8", d8(), 0),
@@ -309,6 +311,7 @@ class TestCertifyGoldens:
 COMMAND_GOLDENS = [
     # (golden stem, arguments ahead of the input, input); each exits 0
     ("check-bk1-d8", ("check", "--bk", "1"), d8()),
+    ("check-bk2-d8", ("check", "--bk", "2"), d8()),  # B_2 fails
     ("check-two-sided-d8", ("check", "--two-sided"), d8()),
     ("cycles-d8", ("cycles",), d8()),
     ("cycles-h2m-3", ("cycles",), h_2m(3)),  # general: no side size
@@ -371,6 +374,15 @@ class TestSearch:
         assert rc == 0
         assert "violations: 0" in out
         assert "runtime" not in out and "runtime" in err
+
+    def test_grid_defaults_are_search_configs(self, capsys):
+        rc, out, _ = run_cli(capsys, "search", "--target", "1.9", "--samples", "1", "--json")
+        payload = json.loads(out)
+        default = SearchConfig(Theorem.T1_9)
+        assert rc == 0
+        assert payload["a_values"] == list(default.a_values)
+        assert payload["p_values"] == list(default.p_values)
+        assert payload["seed"] == default.seed
 
     def test_output_is_stable(self, capsys):
         argv = ("search", "--target", "1.8", "--a", "4", "--p", "0.5", "--samples", "30")

@@ -19,8 +19,18 @@ from bipancyclic import (
 from bipancyclic.cli import render_verdict
 from bipancyclic.conditions import bk_holds
 from bipancyclic.errors import BadParams
+from bipancyclic.naive import naive_dominating_pairs
 
 from test_digraph import bipartite_digraphs
+
+
+def _degrees_from_arcs(D):
+    """Total degree of every vertex, counted from the arc list."""
+    degree = dict.fromkeys(D.vertices(), 0)
+    for u, v in D.arcs():
+        degree[u] += 1
+        degree[v] += 1
+    return degree
 
 
 class TestCheckBk:
@@ -59,7 +69,7 @@ class TestCheckBk:
         assert (str(r.worst_pair.u), str(r.worst_pair.v)) == ("x0", "x1")
         assert r.worst_degree == max(D.degree("x0").total, D.degree("x1").total)
 
-    @given(bipartite_digraphs(min_a=1, max_a=4), st.integers(0, 3))
+    @given(bipartite_digraphs(min_a=1, max_a=6), st.integers(0, 3))
     def test_fast_path_agrees_with_report(self, D, k):
         assert bk_holds(D, k) == check_bk(D, k).holds
 
@@ -76,6 +86,21 @@ class TestCheckBk:
             for p in D.dominating_pairs()
         )
         assert check_bk(D, 0).holds == (not violated)
+
+    @given(bipartite_digraphs(min_a=1, max_a=5), st.integers(0, 3))
+    def test_report_against_naive_oracle(self, D, k):
+        # worst pair: least larger degree, then first in the oracle's order
+        pairs = naive_dominating_pairs(D)
+        degree = _degrees_from_arcs(D)
+        worst = min(pairs, key=lambda p: max(degree[p[0]], degree[p[1]]), default=None)
+        r = check_bk(D, k)
+        assert r.pairs_checked == len(pairs)
+        if worst is None:
+            assert r.worst_pair is None and r.worst_degree is None and r.holds
+        else:
+            assert (r.worst_pair.u, r.worst_pair.v, r.worst_pair.witness) == worst
+            assert r.worst_degree == max(degree[worst[0]], degree[worst[1]])
+            assert r.holds == (r.worst_degree >= 2 * D.a - 2 + k)
 
 
 class TestTwoSidedCondition:
@@ -95,6 +120,21 @@ class TestTwoSidedCondition:
     def test_needs_bipartite(self):
         with pytest.raises(BadParams):
             check_two_sided_condition(Digraph(2, [("v0", "v1")]))
+
+    @given(bipartite_digraphs(min_a=1, max_a=5))
+    def test_first_failure_against_naive_oracle(self, D):
+        a, degree = D.a, _degrees_from_arcs(D)
+        failing = [
+            (u, v, w)
+            for u, v, w in naive_dominating_pairs(D)
+            if not (degree[u] >= 2 * a - 1 and degree[v] >= a + 1)
+            and not (degree[v] >= 2 * a - 1 and degree[u] >= a + 1)
+        ]
+        holds, bad = check_two_sided_condition(D)
+        if not failing:
+            assert holds and bad is None
+        else:
+            assert not holds and (bad.u, bad.v, bad.witness) == failing[0]
 
 
 class TestHypotheses:
