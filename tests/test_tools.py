@@ -1,0 +1,54 @@
+"""The measurement scripts in tools/: code-line counter and CLI corpus hash."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name: str):
+    """Import a tools/ script by path; tools/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"_tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+class C:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring."""
+        return os.path.join(
+            x,
+            "not a docstring",
+        )
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    # import, class, def, and the four lines of the call
+    assert _load("code_lines").code_lines(SNIPPET) == 7
+
+
+def test_cli_corpus_digest_is_stable(capsys):
+    corpus = _load("cli_corpus")
+    code, out, err = corpus.run(
+        ["search", "--target", "1.9", "--a", "4", "--p", "0.9", "--samples", "2"]
+    )
+    assert code == 0 and "samples run: 2" in out and err == ""  # runtime line dropped
+    digests = []
+    for _ in range(2):
+        assert corpus.main(["--per-cell", "0"]) == 0
+        digests.append(capsys.readouterr().out)
+    # the exception and twelve family members, 13 commands each, text and --json
+    assert digests[0] == digests[1] and digests[0].startswith("calls: 338\nsha256: ")
