@@ -72,7 +72,7 @@ class ConditionReport:
     """Outcome of a margin-k check over all dominating pairs.
 
     worst_pair is the dominating pair whose larger degree is smallest (ties
-    broken lexicographically), together with that degree; None when the
+    go to the first pair in canonical order), together with that degree; None when the
     digraph has no dominating pair, in which case the condition holds
     vacuously.
     """
@@ -102,50 +102,47 @@ def check_bk(D: BipartiteDigraph, k: int) -> ConditionReport:
     """Evaluate the margin-k dominating-pair degree condition.
 
     Scans every dominating pair; holds iff each pair's larger total degree
-    reaches 2a - 2 + k.  Raises BadParams for negative k.
+    reaches 2a - 2 + k.  The worst pair is the one with the least larger
+    degree, and among those the first in canonical order.  Raises BadParams
+    for negative k.
     """
     if k < 0:
         raise BadParams(f"condition margin must be >= 0, got {k}")
     if not isinstance(D, BipartiteDigraph):
         raise BadParams("degree condition is defined on balanced bipartite digraphs")
     threshold = 2 * D.a - 2 + k
-    pairs = D.dominating_pairs()
-    worst: DominatingPair | None = None
-    worst_deg: int | None = None
-    for pair in pairs:
-        deg = max(D.degree(pair.u).total, D.degree(pair.v).total)
-        if worst_deg is None or deg < worst_deg:
-            worst, worst_deg = pair, deg
-    holds = worst_deg is None or worst_deg >= threshold
+    deg = D._total_degrees()
+    scan = [(max(deg[i], deg[j]), i, j, w) for i, j, w in D._dominating_indices()]
+    worst = min(scan, default=None)
     return ConditionReport(
         k=k,
         threshold=threshold,
-        holds=holds,
-        pairs_checked=len(pairs),
-        worst_pair=worst,
-        worst_degree=worst_deg,
+        holds=worst is None or worst[0] >= threshold,
+        pairs_checked=len(scan),
+        worst_pair=None if worst is None else D._pair(*worst[1:]),
+        worst_degree=None if worst is None else worst[0],
     )
 
 
 def bk_holds(D: BipartiteDigraph, k: int) -> bool:
     """Fast-path truth of the margin-k condition (no report, short-circuits).
 
-    Must agree with check_bk(D, k).holds on every input; the test suite
-    enforces that.
+    Call a vertex low when its total degree is below 2a - 2 + k and it has
+    an out-neighbor.  Only a pair of low vertices can violate the condition,
+    so it holds iff the low vertices' out-sets are pairwise disjoint: each
+    must miss the union of those before it.  One pass covers both sides,
+    since an x vertex's out-set lies in Y and a y vertex's in X, so a cross
+    pair never shares an out-neighbor.  ROADMAP item H's structural lemma
+    starts from this rule.  Must agree with check_bk(D, k).holds on every
+    input; the test suite enforces that.
     """
-    a = D.a
-    threshold = 2 * a - 2 + k
-    out, inn = D._out, D._in
-    deg = [out[i].bit_count() + inn[i].bit_count() for i in range(2 * a)]
-    # Only pairs where both degrees miss the threshold can violate, and in a
-    # bipartite host dominating pairs are always same-side.
-    for lo, hi in ((0, a), (a, 2 * a)):
-        small = [i for i in range(lo, hi) if deg[i] < threshold and out[i]]
-        for pos, i in enumerate(small):
-            oi = out[i]
-            for j in small[pos + 1 :]:
-                if oi & out[j]:
-                    return False
+    threshold = 2 * D.a - 2 + k
+    covered = 0  # union of the out-sets of the low vertices seen so far
+    for out, inn in zip(D._out, D._in):
+        if out and out.bit_count() + inn.bit_count() < threshold:
+            if covered & out:
+                return False
+            covered |= out
     return True
 
 
@@ -156,12 +153,11 @@ def check_two_sided_condition(D: BipartiteDigraph) -> tuple[bool, DominatingPair
     if not isinstance(D, BipartiteDigraph):
         raise BadParams("degree condition is defined on balanced bipartite digraphs")
     a = D.a
-    for pair in D.dominating_pairs():
-        du = D.degree(pair.u).total
-        dv = D.degree(pair.v).total
-        if (du >= 2 * a - 1 and dv >= a + 1) or (dv >= 2 * a - 1 and du >= a + 1):
-            continue
-        return False, pair
+    deg = D._total_degrees()
+    for i, j, w in D._dominating_indices():
+        du, dv = deg[i], deg[j]
+        if not (du >= 2 * a - 1 and dv >= a + 1 or dv >= 2 * a - 1 and du >= a + 1):
+            return False, D._pair(i, j, w)
     return True, None
 
 

@@ -192,18 +192,26 @@ class Digraph:
     # -- pair queries --------------------------------------------------------
 
     def dominating_pairs(self) -> list[DominatingPair]:
-        """All unordered pairs with a common out-neighbor, lex sorted."""
-        found = []
-        for i in range(self.n):
-            mi = self._out[i]
-            if not mi:
-                continue
-            for j in range(i + 1, self.n):
-                common = mi & self._out[j]
-                if common:
-                    w = (common & -common).bit_length() - 1
-                    found.append(DominatingPair(self._vertex(i), self._vertex(j), self._vertex(w)))
-        return found
+        """All unordered pairs with a common out-neighbor, lex sorted, each
+        with its least common out-neighbor as the witness."""
+        return [self._pair(*found) for found in self._dominating_indices()]
+
+    def _dominating_indices(self) -> Iterator[tuple[int, int, int]]:
+        """(i, j, least common out-neighbor) for every index pair i < j that
+        has one, in lex order, which is canonical order."""
+        out = self._out
+        for i, oi in enumerate(out):
+            if oi:
+                for j in range(i + 1, self.n):
+                    if common := oi & out[j]:
+                        yield i, j, (common & -common).bit_length() - 1
+
+    def _pair(self, i: int, j: int, w: int) -> DominatingPair:
+        return DominatingPair(self._vertex(i), self._vertex(j), self._vertex(w))
+
+    def _total_degrees(self) -> list[int]:
+        """Total degree (out + in) of every index."""
+        return [o.bit_count() + i.bit_count() for o, i in zip(self._out, self._in)]
 
     # -- connectivity ----------------------------------------------------------
 

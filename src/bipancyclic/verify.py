@@ -49,6 +49,7 @@ from .digraph import (
     BipartiteDigraph,
     Digraph,
     Vertex,
+    _bits,
     random_bipartite,
     serialize,
 )
@@ -300,10 +301,8 @@ def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
 
 
 _D8 = families.d8()
-_D8_ARCS = frozenset(
-    (_D8._index(u), _D8._index(v)) for u, v in _D8.arcs()
-)
-_D8_DEGREES = tuple(sorted(_D8.degree(v).total for v in _D8.vertices()))
+_D8_ARCS = frozenset((i, j) for i in range(8) for j in _bits(_D8._out[i]))
+_D8_DEGREES = sorted(_D8._total_degrees())
 
 
 def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
@@ -317,13 +316,14 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
     input it is the x side.  All 2 * 4! * 4! side-respecting bijections are
     then tried in a fixed order (sides preserved before swapped, then
     lexicographic on the two index permutations), so the returned witness is
-    deterministic.
+    deterministic.  Its mapping lists the input's vertices in index order,
+    which is canonical order.
     """
     if D.n != 8 or D.arc_count != 20:
         return None
-    if tuple(sorted(D.degree(v).total for v in D.vertices())) != _D8_DEGREES:
+    if sorted(D._total_degrees()) != _D8_DEGREES:
         return None
-    arcs = [(D._index(u), D._index(v)) for u, v in D.arcs()]
+    arcs = [(i, j) for i in range(8) for j in _bits(D._out[i])]
     for rest in combinations(range(1, 8), 3):
         xs = [0, *rest]
         if all((u in xs) != (v in xs) for u, v in arcs):
@@ -341,12 +341,8 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
                 for j, src in enumerate(right):
                     image[src] = 4 + sy[j]  # y-block of the target
                 if all((image[u], image[v]) in _D8_ARCS for u, v in arcs):
-                    mapping = tuple(
-                        sorted(
-                            ((D._vertex(i), _D8._vertex(image[i])) for i in range(8)),
-                            key=lambda pair: pair[0],
-                        )
-                    )
+                    # ascending index order is canonical order
+                    mapping = tuple((D._vertex(i), _D8._vertex(image[i])) for i in range(8))
                     return IsomorphismWitness(mapping=mapping, side_swap=swap)
     return None
 
