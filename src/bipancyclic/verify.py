@@ -355,6 +355,11 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
 SearchTarget = Theorem
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool, which the command line could not express."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # Largest per-cell sample count: thirty times the acceptance gate's largest run.
 MAX_SAMPLES = 10_000_000
 
@@ -382,21 +387,23 @@ class SearchConfig:
         if not self.p_values:
             raise BadConfig("need at least one arc probability")
         for a in self.a_values:
-            if not isinstance(a, int):
+            if not _is_int(a):
                 raise BadConfig(f"side size must be an int, got {a!r}")
             if not 1 <= a <= 12:
                 raise BadConfig(f"side size must be in [1, 12], got {a}")
         for p in self.p_values:
-            if not isinstance(p, (int, float)):
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise BadConfig(f"arc probability must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise BadConfig(f"arc probability must be in [0, 1], got {p}")
-        if not isinstance(self.samples, int):
+        if not _is_int(self.samples):
             raise BadConfig(f"sample count must be an int, got {self.samples!r}")
         if not 0 <= self.samples <= MAX_SAMPLES:
             raise BadConfig(
                 f"sample count must be in [0, {MAX_SAMPLES}], got {self.samples}"
             )
+        if not _is_int(self.seed):
+            raise BadConfig(f"seed must be an int, got {self.seed!r}")
         # a repeated value would name one cell twice and count it twice
         if len(set(self.a_values)) < len(self.a_values):
             raise BadConfig("side sizes must be distinct")
@@ -662,8 +669,8 @@ def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tupl
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the configured search; counts are independent of worker count."""
     config.validate()
-    if workers < 1:
-        raise BadConfig(f"worker count must be >= 1, got {workers}")
+    if not _is_int(workers) or workers < 1:
+        raise BadConfig(f"worker count must be an int >= 1, got {workers!r}")
     started = time.perf_counter()
     cells = [(a, p) for a in config.a_values for p in config.p_values]
     starts = range(0, config.samples, _BLOCK)

@@ -409,11 +409,19 @@ class TestSearch:
             SearchConfig(Theorem.T1_8, samples=MAX_SAMPLES + 1),
             SearchConfig(Theorem.T1_8, a_values=(4, 5, 4)),
             SearchConfig(Theorem.T1_8, p_values=(0.7, 0.5, 0.7)),
+            # values the command line cannot express, whose repro it would reject
+            SearchConfig(Theorem.T1_8, a_values=(True,), samples=1),
+            SearchConfig(Theorem.T1_8, p_values=(True,), samples=1),
+            SearchConfig(Theorem.T1_8, samples=True),
+            SearchConfig(Theorem.T1_8, samples=1, seed="abc"),
+            SearchConfig(Theorem.T1_8, samples=1, seed=True),
+            SearchConfig(Theorem.T1_8, samples=1, seed=1.5),
         ):
             with pytest.raises(BadConfig):
                 run_search(cfg)
-        with pytest.raises(BadConfig):
-            run_search(SearchConfig(Theorem.T1_8), workers=0)
+        for workers in (0, True, 2.5, "2"):
+            with pytest.raises(BadConfig):
+                run_search(SearchConfig(Theorem.T1_8, samples=1), workers=workers)
         with pytest.raises(BadConfig):  # before any worker starts
             run_search(SearchConfig(target="1.8", samples=1), workers=2)
 
