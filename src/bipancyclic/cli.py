@@ -95,12 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--target", required=True, choices=[t.value for t in Theorem]
     )
-    search.add_argument("--a", type=int, nargs="+", default=[4, 5, 6], help="side sizes")
     search.add_argument(
-        "--p", type=float, nargs="+", default=[0.3, 0.5, 0.7], help="arc probabilities"
+        "--a", type=int, nargs="+", default=SearchConfig.a_values, help="side sizes"
     )
-    search.add_argument("--samples", type=int, default=1000, help="samples per (a, p) cell")
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument(
+        "--p", type=float, nargs="+", default=SearchConfig.p_values, help="arc probabilities"
+    )
+    search.add_argument(
+        "--samples", type=int, default=SearchConfig.samples, help="samples per (a, p) cell"
+    )
+    search.add_argument("--seed", type=int, default=SearchConfig.seed)
     search.add_argument("--workers", type=int, default=1)
     search.add_argument(
         "--violations-dir", default=None, help="write violation packages here"
