@@ -334,12 +334,9 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
     for swap in (False, True):
         left, right = (xs, ys) if not swap else (ys, xs)
         for sx in permutations(range(4)):
-            image = {}
-            for i, src in enumerate(left):
-                image[src] = sx[i]  # x-block of the target
-            for sy in permutations(range(4)):
-                for j, src in enumerate(right):
-                    image[src] = 4 + sy[j]  # y-block of the target
+            image = dict(zip(left, sx))  # x-block of the target
+            for sy in permutations(range(4, 8)):
+                image.update(zip(right, sy))  # y-block of the target
                 if all((image[u], image[v]) in _D8_ARCS for u, v in arcs):
                     # ascending index order is canonical order
                     mapping = tuple((D._vertex(i), _D8._vertex(image[i])) for i in range(8))
@@ -353,11 +350,6 @@ def iso_to_D8(D: Digraph) -> IsomorphismWitness | None:
 # The search's former name for its targets, now every Theorem member.  Kept
 # because bench/searchload.py still calls SearchTarget("1.9") and ("3.3").
 SearchTarget = Theorem
-
-
-def _is_int(value: object) -> bool:
-    """An int that is not a bool, which the command line could not express."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Largest per-cell sample count: thirty times the acceptance gate's largest run.
@@ -387,7 +379,7 @@ class SearchConfig:
         if not self.p_values:
             raise BadConfig("need at least one arc probability")
         for a in self.a_values:
-            if not _is_int(a):
+            if type(a) is not int:
                 raise BadConfig(f"side size must be an int, got {a!r}")
             if not 1 <= a <= 12:
                 raise BadConfig(f"side size must be in [1, 12], got {a}")
@@ -396,13 +388,13 @@ class SearchConfig:
                 raise BadConfig(f"arc probability must be a number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise BadConfig(f"arc probability must be in [0, 1], got {p}")
-        if not _is_int(self.samples):
+        if type(self.samples) is not int:
             raise BadConfig(f"sample count must be an int, got {self.samples!r}")
         if not 0 <= self.samples <= MAX_SAMPLES:
             raise BadConfig(
                 f"sample count must be in [0, {MAX_SAMPLES}], got {self.samples}"
             )
-        if not _is_int(self.seed):
+        if type(self.seed) is not int:
             raise BadConfig(f"seed must be an int, got {self.seed!r}")
         # a repeated value would name one cell twice and count it twice
         if len(set(self.a_values)) < len(self.a_values):
@@ -669,7 +661,7 @@ def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tupl
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the configured search; counts are independent of worker count."""
     config.validate()
-    if not _is_int(workers) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise BadConfig(f"worker count must be an int >= 1, got {workers!r}")
     started = time.perf_counter()
     cells = [(a, p) for a in config.a_values for p in config.p_values]
