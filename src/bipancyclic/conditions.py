@@ -72,9 +72,9 @@ class ConditionReport:
     """Outcome of a margin-k check over all dominating pairs.
 
     worst_pair is the dominating pair whose larger degree is smallest (ties
-    go to the first pair in canonical order), together with that degree; None when the
-    digraph has no dominating pair, in which case the condition holds
-    vacuously.
+    go to the first pair in canonical order), together with that degree;
+    None when the digraph has no dominating pair, in which case the
+    condition holds vacuously.
     """
 
     k: int
@@ -119,7 +119,7 @@ def check_bk(D: BipartiteDigraph, k: int) -> ConditionReport:
         threshold=threshold,
         holds=worst is None or worst[0] >= threshold,
         pairs_checked=len(scan),
-        worst_pair=None if worst is None else D._pair(*worst[1:]),
+        worst_pair=None if worst is None else DominatingPair(*map(D._vertex, worst[1:])),
         worst_degree=None if worst is None else worst[0],
     )
 
@@ -157,7 +157,7 @@ def check_two_sided_condition(D: BipartiteDigraph) -> tuple[bool, DominatingPair
     for i, j, w in D._dominating_indices():
         du, dv = deg[i], deg[j]
         if not (du >= 2 * a - 1 and dv >= a + 1 or dv >= 2 * a - 1 and du >= a + 1):
-            return False, D._pair(i, j, w)
+            return False, DominatingPair(*map(D._vertex, (i, j, w)))
     return True, None
 
 

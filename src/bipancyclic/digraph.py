@@ -194,7 +194,7 @@ class Digraph:
     def dominating_pairs(self) -> list[DominatingPair]:
         """All unordered pairs with a common out-neighbor, lex sorted, each
         with its least common out-neighbor as the witness."""
-        return [self._pair(*found) for found in self._dominating_indices()]
+        return [DominatingPair(*map(self._vertex, t)) for t in self._dominating_indices()]
 
     def _dominating_indices(self) -> Iterator[tuple[int, int, int]]:
         """(i, j, least common out-neighbor) for every index pair i < j that
@@ -205,9 +205,6 @@ class Digraph:
                 for j in range(i + 1, self.n):
                     if common := oi & out[j]:
                         yield i, j, (common & -common).bit_length() - 1
-
-    def _pair(self, i: int, j: int, w: int) -> DominatingPair:
-        return DominatingPair(self._vertex(i), self._vertex(j), self._vertex(w))
 
     def _total_degrees(self) -> list[int]:
         """Total degree (out + in) of every index."""

@@ -661,8 +661,10 @@ def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tupl
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the configured search; counts are independent of worker count."""
     config.validate()
-    if type(workers) is not int or workers < 1:
-        raise BadConfig(f"worker count must be an int >= 1, got {workers!r}")
+    if type(workers) is not int:
+        raise BadConfig(f"worker count must be an int, got {workers!r}")
+    if workers < 1:
+        raise BadConfig(f"worker count must be >= 1, got {workers}")
     started = time.perf_counter()
     cells = [(a, p) for a in config.a_values for p in config.p_values]
     starts = range(0, config.samples, _BLOCK)
