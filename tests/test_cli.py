@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from bipancyclic import (
     BipartiteDigraph,
     Conclusion,
+    SearchConfig,
     Theorem,
     TheoremVerdict,
     check_theorem_hypotheses,
     complete_bipartite,
     d8,
     directed_cycle,
-    SearchConfig,
     h_2m,
     serialize,
 )
