@@ -138,6 +138,9 @@ def bk_holds(D: BipartiteDigraph, k: int) -> bool:
     """
     threshold = 2 * D.a - 2 + k
     covered = 0  # union of the out-sets of the low vertices seen so far
+    # Degrees inline, not via D._total_degrees(): that list is built whole
+    # before the first early exit, 2.5x the time per call on search-sparse's
+    # samples (1.36 -> 3.33 us median, Python 3.11, 2-core Xeon).
     for out, inn in zip(D._out, D._in):
         if out and out.bit_count() + inn.bit_count() < threshold:
             if covered & out:
