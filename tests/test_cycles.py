@@ -29,6 +29,7 @@ from bipancyclic.errors import (
     InvalidCycle,
     PreconditionUnmet,
     TooLarge,
+    UnknownVertex,
 )
 from bipancyclic.families import h_2m, h_m_m1_1, h_mm
 from bipancyclic.naive import (
@@ -370,6 +371,64 @@ class TestValidators:
         with pytest.raises(InvalidCycle):
             check_cycle(D, ["x0", "y2"])  # no such arcs
         assert check_cycle(D, ["x0", "y0"]).length == 2
+
+
+# A general digraph with one triangle v0 v1 v2 and a pendant arc v2 -> v3.
+TRIANGLE_TAIL = Digraph(4, [("v0", "v1"), ("v1", "v2"), ("v2", "v0"), ("v2", "v3")])
+
+# (host, sequence, exception class or None for a valid cycle, exact message).
+# Rules apply in order: length, repeats, then in a bipartite host parity and
+# alternating sides, then every arc (the closing one last); where a sequence
+# breaks several, the first rule's message is the one raised.
+CHECK_CYCLE_ROWS = [
+    ("d8", [], InvalidCycle, "cycle needs >= 2 vertices, got 0"),
+    ("d8", ["x0"], InvalidCycle, "cycle needs >= 2 vertices, got 1"),
+    ("d8", ["x0", "y0", "x0", "y1"], InvalidCycle, "repeated vertex in cycle"),
+    ("d8", ["x0", "x0"], InvalidCycle, "repeated vertex in cycle"),  # also one side
+    ("d8", ["x0", "y0", "x0"], InvalidCycle, "repeated vertex in cycle"),  # also odd
+    ("d8", ["x0", "y0", "x1"], InvalidCycle, "odd length 3 in a bipartite host"),
+    ("d8", ["x0", "x1", "y0"], InvalidCycle, "odd length 3 in a bipartite host"),  # also one side
+    ("d8", ["x0", "x1"], InvalidCycle, "consecutive vertices x0 x1 on one side"),
+    ("d8", ["x0", "y0", "y1", "x1"], InvalidCycle, "consecutive vertices y0 y1 on one side"),
+    ("d8", ["x0", "y2", "x2", "x3"], InvalidCycle, "consecutive vertices x2 x3 on one side"),
+    ("d8", ["x0", "y2"], InvalidCycle, "missing arc x0 y2"),  # y2 -> x0 missing too
+    ("d8", ["x0", "y1", "x1", "y0"], InvalidCycle, "missing arc x0 y1"),
+    ("d8", ["x1", "y1", "x2", "y2"], InvalidCycle, "missing arc y2 x1"),  # closing arc
+    ("d8", ["x0", "v0"], UnknownVertex, "unknown vertex v0"),
+    ("d8", ["x0", "z0"], UnknownVertex, "bad vertex name 'z0'"),
+    ("d8", ["x1", "y1", "x2", "y3", "x3", "y0"], None, ""),
+    ("d8", ["x0", "y0"], None, ""),
+    ("k3", ["x0", "y0", "x1", "y1", "x2", "y2"], None, ""),
+    ("k3", ["x0", "y0", "x1", "y1", "x2"], InvalidCycle, "odd length 5 in a bipartite host"),
+    ("k3", ["x0", "y0", "x0", "y0"], InvalidCycle, "repeated vertex in cycle"),
+    ("k3", ["x0", "y1", "x1", "x2"], InvalidCycle, "consecutive vertices x1 x2 on one side"),
+    ("general", ["v1"], InvalidCycle, "cycle needs >= 2 vertices, got 1"),
+    ("general", ["v0", "v0"], InvalidCycle, "repeated vertex in cycle"),
+    ("general", ["v0", "v1", "v2"], None, ""),  # odd is fine outside a bipartite host
+    ("general", ["v1", "v2", "v0"], None, ""),
+    ("general", ["v0", "v2", "v1"], InvalidCycle, "missing arc v0 v2"),
+    ("general", ["v0", "v1"], InvalidCycle, "missing arc v1 v0"),  # closing arc
+    ("general", ["v0", "v1", "v2", "v3"], InvalidCycle, "missing arc v3 v0"),  # closing arc
+    ("general", ["v0", "v3", "v3"], InvalidCycle, "repeated vertex in cycle"),  # also arcs
+]
+
+CHECK_CYCLE_HOSTS = {"d8": d8(), "k3": complete_bipartite(3), "general": TRIANGLE_TAIL}
+
+
+class TestCheckCycleRules:
+    @pytest.mark.parametrize(
+        "host, sequence, error, message",
+        CHECK_CYCLE_ROWS,
+        ids=[f"{h}-{' '.join(s) or 'empty'}" for h, s, _, _ in CHECK_CYCLE_ROWS],
+    )
+    def test_rule_table(self, host, sequence, error, message):
+        D = CHECK_CYCLE_HOSTS[host]
+        if error is None:
+            assert str(check_cycle(D, sequence)) == " ".join(sequence)
+            return
+        with pytest.raises(error) as caught:
+            check_cycle(D, sequence)
+        assert str(caught.value) == message
 
 
 class TestBypass:
