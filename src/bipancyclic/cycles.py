@@ -13,7 +13,8 @@ searches or branches that have no completion, so None stays exact:
 
 - component: each start is searched only inside its strong component among
   the vertices not yet used as starts (a cycle through it cannot leave that
-  component);
+  component); the component does not depend on the length, so a caller
+  asking several lengths of one digraph can have it swept once per start;
 - cover: a search that must cover every allowed vertex first checks that the
   allowed vertices have a cycle cover (each can take a distinct successor
   among them), and drops branches that strand an allowed vertex;
@@ -113,27 +114,44 @@ class CycleSpectrum:
 def check_cycle(D: Digraph, vertices: Sequence[VertexLike]) -> Cycle:
     """Validate a vertex sequence as a cycle of D; returns the Cycle.
 
-    Checks are independent of the search code: length >= 2, all vertices
-    distinct and known, every consecutive arc (closing arc included) present,
-    and in a bipartite host even length with sides alternating.
+    Every name must be a vertex of D (UnknownVertex otherwise, raised before
+    any other rule).  The indices then go to ``_check_cycle_indices``, which
+    holds the rules: length >= 2, all vertices distinct, in a bipartite host
+    even length with sides alternating, and every consecutive arc (closing
+    arc included) present.  The rules share no code with the search.
     """
     if isinstance(vertices, Cycle):
         vertices = vertices.vertices
     vs = tuple(_as_vertex(v) for v in vertices)
-    if len(vs) < 2:
-        raise InvalidCycle(f"cycle needs >= 2 vertices, got {len(vs)}")
-    if len(set(vs)) != len(vs):
-        raise InvalidCycle("repeated vertex in cycle")
-    if isinstance(D, BipartiteDigraph):
-        if len(vs) % 2:
-            raise InvalidCycle(f"odd length {len(vs)} in a bipartite host")
-        for u, w in zip(vs, vs[1:] + vs[:1]):
-            if u.side is w.side:
-                raise InvalidCycle(f"consecutive vertices {u} {w} on one side")
-    for u, w in zip(vs, vs[1:] + vs[:1]):
-        if not D.has_arc(u, w):
-            raise InvalidCycle(f"missing arc {u} {w}")
+    _check_cycle_indices(D, [D._index(v) for v in vs])
     return Cycle(vs)
+
+
+def _check_cycle_indices(D: Digraph, idx: Sequence[int]) -> None:
+    """check_cycle's rules on vertex indices, in order; raises InvalidCycle.
+
+    Reads only D's out-masks and, in a bipartite host, its side size (an
+    index below a is on the x side).  Vertex names are built only for an
+    error message.
+    """
+    if len(idx) < 2:
+        raise InvalidCycle(f"cycle needs >= 2 vertices, got {len(idx)}")
+    if len(set(idx)) != len(idx):
+        raise InvalidCycle("repeated vertex in cycle")
+    steps = list(zip(idx, [*idx[1:], idx[0]]))
+    if isinstance(D, BipartiteDigraph):
+        if len(idx) % 2:
+            raise InvalidCycle(f"odd length {len(idx)} in a bipartite host")
+        a = D.a
+        for u, w in steps:
+            if (u < a) == (w < a):
+                raise InvalidCycle(
+                    f"consecutive vertices {D._vertex(u)} {D._vertex(w)} on one side"
+                )
+    out = D._out
+    for u, w in steps:
+        if not out[u] >> w & 1:
+            raise InvalidCycle(f"missing arc {D._vertex(u)} {D._vertex(w)}")
 
 
 # -- index-level search core ----------------------------------------------------
@@ -278,8 +296,14 @@ def _lex_min_cycle_from(
     return path if found else None
 
 
-def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
-    """Lex-min cycle of exactly m vertices, or None."""
+def _find_cycle_indices(D: Digraph, m: int, cores: dict[int, int]) -> list[int] | None:
+    """Lex-min cycle of exactly m vertices, or None.
+
+    cores maps a start to its strong component among itself and the later
+    vertices.  That component depends only on D and the start, not on m, so
+    a caller asking several lengths of one D passes one dict to all of them
+    and each component is swept once; it is filled as starts are reached.
+    """
     out, inn = D._out, D._in
     rest = (1 << D.n) - 1  # the current start and every later vertex
     while rest:
@@ -290,7 +314,8 @@ def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
         # Starts ascend in canonical order and branches only use later
         # vertices, so the first hit is the global lex-min witness.  A cycle
         # through start stays in start's strong component within rest.
-        core = _reach(out, start, rest) & _reach(inn, start, rest)
+        if (core := cores.get(start)) is None:
+            core = cores[start] = _reach(out, start, rest) & _reach(inn, start, rest)
         if core.bit_count() >= m:
             hit = _lex_min_cycle_from(out, inn, start, m, core)
             if hit is not None:
@@ -312,7 +337,7 @@ def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
         raise BadLength(f"cycle length must be in [2, {D.n}], got {m}")
     if isinstance(D, BipartiteDigraph) and m % 2:
         return None
-    hit = _find_cycle_indices(D, m)
+    hit = _find_cycle_indices(D, m, {})
     if hit is None:
         return None
     return Cycle(tuple(D._vertex(i) for i in hit))
@@ -339,7 +364,7 @@ def is_hamiltonian(D: Digraph) -> bool:
     """True iff some cycle visits every vertex (needs n >= 2)."""
     if D.n < 2:
         return False
-    return _find_cycle_indices(D, D.n) is not None
+    return _find_cycle_indices(D, D.n, {}) is not None
 
 
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:

@@ -39,9 +39,9 @@ from .conditions import (
 )
 from .cycles import (
     Cycle,
+    _check_cycle_indices,
     _find_cycle_indices,
     _lex_min_cycle_from,
-    check_cycle,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
 )
@@ -570,15 +570,19 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     would go to the exhaustive DFS (``_lex_min_cycle_from``), so a missing
     rung is reported only when no such cycle exists.
 
-    check_cycle re-checks each cycle that has a unit, once per cycle rather
-    than once per unit.  A missing rung gives the claim text of the
-    WitnessNotFound that cycles_through_vertex would raise.
+    The whole evaluation stays on vertex indices.  The lengths share one
+    ``cores`` dict, so each start's strong component is swept once per
+    sample, not once per length.  check_cycle's index core
+    (``_check_cycle_indices``) re-checks each cycle that has a unit, once
+    per cycle rather than once per unit.  A missing rung gives the claim
+    text of the WitnessNotFound that cycles_through_vertex would raise.
     """
     out, inn = D._out, D._in
     satisfying = 0
     claims: list[str] = []
+    cores: dict[int, int] = {}
     for b in range(1, D.a):  # cycle length 2b <= 2a - 2 < order
-        hit = _find_cycle_indices(D, 2 * b)
+        hit = _find_cycle_indices(D, 2 * b, cores)
         if hit is None:
             continue
         cmask = 0
@@ -592,7 +596,7 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
         ]
         if not units:
             continue
-        check_cycle(D, [D._vertex(i) for i in hit])
+        _check_cycle_indices(D, hit)
         satisfying += len(units)
         for x in units:
             settled = _segment_rungs(out, inn, x, hit)

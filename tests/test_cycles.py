@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from bipancyclic import (
     BipartiteDigraph,
+    Cycle,
     Digraph,
+    Vertex,
     check_cycle,
     complete_bipartite,
     cycle_spectrum,
@@ -137,6 +139,20 @@ class TestFindCycle:
         for m in range(2, D.n + 1):
             got = find_cycle_of_length(D, m)
             assert (None if got is None else got.vertices) == naive_find_cycle(D, m)
+
+    @given(st.one_of(bipartite_digraphs(max_a=4), general_digraphs(max_n=7)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_components_match_fresh_and_naive(self, D, data):
+        # A start's strong component among later vertices does not depend on
+        # the length, so one cores dict asked every length in a shuffled
+        # order gives the hit of a fresh dict per length and of the naive
+        # enumeration.
+        cores = {}
+        for m in data.draw(st.permutations(range(2, D.n + 1))):
+            shared = cycles._find_cycle_indices(D, m, cores)
+            assert shared == cycles._find_cycle_indices(D, m, {})
+            got = None if shared is None else tuple(D._vertex(i) for i in shared)
+            assert got == naive_find_cycle(D, m)
 
     @given(bipartite_digraphs(min_a=2, max_a=4))
     def test_witnesses_validate(self, D):
@@ -396,6 +412,8 @@ CHECK_CYCLE_ROWS = [
     ("d8", ["x1", "y1", "x2", "y2"], InvalidCycle, "missing arc y2 x1"),  # closing arc
     ("d8", ["x0", "v0"], UnknownVertex, "unknown vertex v0"),
     ("d8", ["x0", "z0"], UnknownVertex, "bad vertex name 'z0'"),
+    # An unknown vertex is raised before any rule, here the sides rule.
+    ("d8", ["x0", "x9"], UnknownVertex, "unknown vertex x9"),
     ("d8", ["x1", "y1", "x2", "y3", "x3", "y0"], None, ""),
     ("d8", ["x0", "y0"], None, ""),
     ("k3", ["x0", "y0", "x1", "y1", "x2", "y2"], None, ""),
@@ -429,6 +447,64 @@ class TestCheckCycleRules:
         with pytest.raises(error) as caught:
             check_cycle(D, sequence)
         assert str(caught.value) == message
+
+    @given(st.one_of(bipartite_digraphs(max_a=4), general_digraphs(min_n=2, max_n=7)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_index_core_matches_names(self, D, data):
+        # Random index sequences of known vertices, and lex-min witnesses
+        # rotated and perhaps cut short: check_cycle on the names, its index
+        # core and a name-level reference of the rules agree on the Cycle or
+        # on the exception's class and message.
+        pick = st.integers(0, D.n - 1)
+        idx = data.draw(
+            st.one_of(
+                st.lists(pick, max_size=D.n + 1),
+                st.lists(pick, min_size=2, max_size=D.n, unique=True),
+            )
+        )
+        m = data.draw(st.integers(2, max(2, D.n)))
+        witness = find_cycle_of_length(D, m) if m <= D.n else None
+        if witness is not None and data.draw(st.booleans()):
+            idx = [D._index(v) for v in witness.vertices]
+            k = data.draw(st.integers(0, m - 1))
+            idx = idx[k:] + idx[:k]
+            if data.draw(st.booleans()):
+                idx.pop()
+        names = [str(D._vertex(i)) for i in idx]
+
+        def outcome(check, seq):
+            try:
+                return check(D, seq)
+            except InvalidCycle as exc:
+                return type(exc), str(exc)
+
+        def core(D, seq):
+            cycles._check_cycle_indices(D, seq)
+            return Cycle(tuple(D._vertex(i) for i in seq))
+
+        want = outcome(name_level_rules, names)
+        assert outcome(check_cycle, names) == want
+        assert outcome(core, idx) == want
+
+
+def name_level_rules(D: Digraph, names: list[str]) -> Cycle:
+    """check_cycle's rules stated on vertex names, as a reference."""
+    vs = tuple(Vertex.parse(v) for v in names)
+    if len(vs) < 2:
+        raise InvalidCycle(f"cycle needs >= 2 vertices, got {len(vs)}")
+    if len(set(vs)) != len(vs):
+        raise InvalidCycle("repeated vertex in cycle")
+    closing = list(zip(vs, vs[1:] + vs[:1]))
+    if isinstance(D, BipartiteDigraph):
+        if len(vs) % 2:
+            raise InvalidCycle(f"odd length {len(vs)} in a bipartite host")
+        for u, w in closing:
+            if u.side is w.side:
+                raise InvalidCycle(f"consecutive vertices {u} {w} on one side")
+    for u, w in closing:
+        if not D.has_arc(u, w):
+            raise InvalidCycle(f"missing arc {u} {w}")
+    return Cycle(vs)
 
 
 class TestBypass:

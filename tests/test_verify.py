@@ -38,7 +38,7 @@ from bipancyclic import (
     verify_theorem,
     write_violations,
 )
-from bipancyclic.errors import BadConfig, BadParams, WitnessNotFound
+from bipancyclic.errors import BadConfig, BadParams, InvalidCycle, WitnessNotFound
 from bipancyclic.naive import naive_isomorphism
 from bipancyclic import cli, conditions, cycles, verify
 from bipancyclic.verify import MAX_SAMPLES, _certificate
@@ -684,12 +684,13 @@ class TestLemma33Evaluator:
 
     def test_checks_each_used_cycle_once(self, monkeypatch):
         checked = []
+        core = verify._check_cycle_indices
 
-        def recording(D, vertices):
-            checked.append(tuple(vertices))
-            return check_cycle(D, vertices)
+        def recording(D, idx):
+            checked.append(tuple(D._vertex(i) for i in idx))
+            return core(D, idx)
 
-        monkeypatch.setattr(verify, "check_cycle", recording)
+        monkeypatch.setattr(verify, "_check_cycle_indices", recording)
         for D in self.SAMPLES:
             checked.clear()
             verify._eval_l3_3(D)
@@ -702,6 +703,50 @@ class TestLemma33Evaluator:
                 ):
                     used.append(C.vertices)
             assert checked == used
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ([0, 3, 1, 4], "missing arc y1 x0"),  # x0 y0 x1 y1 without y1 -> x0
+            ([0, 3, 0, 4], "repeated vertex in cycle"),
+        ],
+    )
+    def test_recheck_rejects_a_broken_search_hit(self, monkeypatch, broken, message):
+        # complete_bipartite(3) without y1 -> x0: x2 has four arcs to either
+        # sequence's vertices, more than b = 2, so the 4-cycle has a unit and
+        # the re-check must reject what the search hands it.
+        D = BipartiteDigraph(3, [(str(u), str(w)) for u, w in complete_bipartite(3).arcs()
+                                 if (str(u), str(w)) != ("y1", "x0")])
+        search = verify._find_cycle_indices
+        monkeypatch.setattr(
+            verify,
+            "_find_cycle_indices",
+            lambda D, m, cores: broken if m == 4 else search(D, m, cores),
+        )
+        with pytest.raises(InvalidCycle) as caught:
+            verify._eval_l3_3(D)
+        assert str(caught.value) == message
+
+    def test_components_swept_once_per_start(self, monkeypatch):
+        # Every length of one sample shares its starts' strong components,
+        # so no component sweep repeats within one evaluation.  A component
+        # sweep's source lies in its allowed set; a covering search's sweeps
+        # start outside it and may repeat across branches, so they are not
+        # recorded.  Mask lists are told apart by identity, since out- and
+        # in-masks can be equal.
+        calls = []
+        reach = cycles._reach
+
+        def recording(masks, src, allowed):
+            if allowed >> src & 1:
+                calls.append((id(masks), src, allowed))
+            return reach(masks, src, allowed)
+
+        monkeypatch.setattr(cycles, "_reach", recording)
+        for D in self.SAMPLES:
+            calls.clear()
+            verify._eval_l3_3(D)
+            assert calls and len(calls) == len(set(calls)), D
 
     def test_segments_settle_every_rung(self, monkeypatch):
         # x's arcs meet only C's b positions on the other side, and an even
@@ -731,7 +776,7 @@ class TestLemma33Evaluator:
         # vertices from the reported position, is an m-cycle through x; a
         # unit's vertex has every rung settled.
         for b in range(1, D.a):
-            hit = cycles._find_cycle_indices(D, 2 * b)
+            hit = cycles._find_cycle_indices(D, 2 * b, {})
             if hit is None:
                 continue
             C = [D._vertex(i) for i in hit]
