@@ -715,8 +715,9 @@ class TestLemma33Evaluator:
         # complete_bipartite(3) without y1 -> x0: x2 has four arcs to either
         # sequence's vertices, more than b = 2, so the 4-cycle has a unit and
         # the re-check must reject what the search hands it.
-        D = BipartiteDigraph(3, [(str(u), str(w)) for u, w in complete_bipartite(3).arcs()
-                                 if (str(u), str(w)) != ("y1", "x0")])
+        arcs = [(str(u), str(w)) for u, w in complete_bipartite(3).arcs()]
+        arcs.remove(("y1", "x0"))
+        D = BipartiteDigraph(3, arcs)
         search = verify._find_cycle_indices
         monkeypatch.setattr(
             verify,
