@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -216,6 +218,9 @@ class Digraph:
         """True iff every vertex reaches every other (n <= 1 counts as strong)."""
         if self.n <= 1:
             return True
+        # a vertex without out-arcs or in-arcs reaches or is reached by none
+        if 0 in self._out or 0 in self._in:
+            return False
         full = (1 << self.n) - 1
         return _reach(self._out, 0, full) == full and _reach(self._in, 0, full) == full
 
@@ -384,6 +389,8 @@ def parse(text: str) -> Digraph:
 
 
 _ASCII_BIT = bytes.maketrans(b"\x00\x01", b"01")
+# array typecode per item size in bytes, for reading a block's masks in bulk
+_WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
@@ -398,38 +405,80 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
     U_k < round(p * 65536), so p = 0, 1/2 and 1 are exact, and since p is not
     part of the key the draws are coupled monotonically in p: for p <= p' at
     the same (a, seed), every arc drawn at p is drawn at p' too.
+
+    This is a block of one seed: the search draws a block of samples at a
+    time (``_draw_block``) from the same per-sample digests, under the same
+    contract.
+    """
+    return _draw_block(a, p, [seed])[0]
+
+
+def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph]:
+    """random_bipartite(a, p, seed) for each of one or more seeds, in order.
+
+    Every step after hashing runs once over the whole block: the samples'
+    draws, digits and masks sit end to end in a few byte strings and big
+    ints, so what is left per sample is its digest, three list slices and
+    two tuples.
     """
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
     if not 0.0 <= p <= 1.0:
         raise BadParams(f"arc probability must be in [0, 1], got {p}")
-    m = 2 * a * a  # arc slots
-    digest = hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m)
+    n, m, count = 2 * a, 2 * a * a, len(seeds)  # order, arc slots per sample, samples
+    slots = m * count
+    digests = b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m) for seed in seeds)
     # Each draw gets a 24-bit lane: the draw, then a zero guard byte.  Lane k
     # of rep * (65535 + threshold) - draws holds 65535 + threshold - U_k,
     # which lies in [0, 2^17), so no lane borrows from the next, and its
     # guard bit (bit 16) is set exactly when U_k < threshold.
-    lanes = bytearray(3 * m)
-    lanes[0::3] = digest[0::2]
-    lanes[1::3] = digest[1::2]
-    rep = int.from_bytes(b"\x01\x00\x00" * m, "little")
+    lanes = bytearray(3 * slots)
+    lanes[0::3] = digests[0::2]
+    lanes[1::3] = digests[1::2]
+    rep = int.from_bytes(b"\x01\x00\x00" * slots, "little")
     threshold = round(p * 65536)
     hits = (rep * (65535 + threshold) - int.from_bytes(lanes, "little")) & (rep << 16)
-    # One ASCII digit per slot, last slot first, so int(digits, 2) has slot k,
-    # the arc from tail row r = k // a to head column c = k % a, at bit k.
-    # Viewed as a 2a x a matrix the reversed digits read out column-major
-    # are the reversed column-major order, so int() of them has that arc at
-    # bit 2a * c + r: column c holds the in-masks of y_c (rows < a) and x_c.
-    digits = hits.to_bytes(3 * m, "big")[::3].translate(_ASCII_BIT)
-    by_tail = int(digits, 2)
-    by_head = int(memoryview(digits).cast("B", (2 * a, a)).tobytes("F"), 2)
-    low = (1 << a) - 1  # the x side's bits
-    high = low << a  # the y side's bits
-    rows = [by_tail >> s & low for s in range(0, m, a)]
-    cols = [by_head >> s for s in range(0, m, 2 * a)]
-    D = BipartiteDigraph.__new__(BipartiteDigraph)
-    D.a, D.n = a, 2 * a
-    # an x tail's heads are y vertices, so its row moves up to the y side
-    D._out = tuple([r << a for r in rows[:a]] + rows[a:])
-    D._in = tuple([c & high for c in cols] + [c & low for c in cols])
-    return D
+    # One ASCII digit per slot, in slot order, so by_tail holds a run of a
+    # digits per (sample, tail row r): the heads c = 0..a-1 of r's arcs.
+    # Viewed as 2 * count matrices of a x a (one per sample and tail side),
+    # a Fortran-order copy reverses the axes to (c, r', matrix), and a second
+    # one of that as a (a * a) x (2 * count) matrix gives (matrix, c, r'): a
+    # run per (sample, tail side, head column c) of the tails r' on that side.
+    by_tail = hits.to_bytes(3 * slots, "little")[2::3].translate(_ASCII_BIT)
+    by_head = memoryview(
+        memoryview(by_tail).cast("B", (2 * count, a, a)).tobytes("F")
+    ).cast("B", (a * a, 2 * count)).tobytes("F")
+    # Each run becomes one field of the smallest machine word that holds n
+    # bits, with digit j at bit a + j: the out-mask of an x tail, whose heads
+    # are on the y side, and the in-mask of an x head, whose tails are.  The
+    # fields of y tails and the in-masks of y heads then move down by a.
+    size = next((s for s in sorted(_WORD_CODES) if 8 * s >= n), -(-n // 8))
+    width = 8 * size
+    runs = by_tail + by_head
+    fields = bytearray(b"0") * (width * 2 * n * count)
+    for j in range(a):
+        fields[width - 1 - a - j :: width] = runs[j::a]
+    ones, zeros = (((1 << a) - 1) << a).to_bytes(size, "big"), bytes(size)
+    down = int.from_bytes((zeros * a + ones * a) * count + (ones * a + zeros * a) * count, "big")
+    masks = int(fields, 2)
+    moved = masks & down
+    masks ^= moved ^ moved >> a
+    raw = masks.to_bytes(size * 2 * n * count, "big")
+    if size in _WORD_CODES:
+        words = array(_WORD_CODES[size], raw)
+        if sys.byteorder == "little":
+            words.byteswap()
+        values = words.tolist()
+    else:
+        values = [int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size)]
+    # values: count runs of n out-masks, then per sample the in-masks of the
+    # y side followed by those of the x side
+    block = []
+    for k in range(0, n * count, n):
+        D = BipartiteDigraph.__new__(BipartiteDigraph)
+        D.a, D.n = a, n
+        D._out = tuple(values[k : k + n])
+        i = n * count + k
+        D._in = tuple(values[i + a : i + n] + values[i : i + a])
+        block.append(D)
+    return block

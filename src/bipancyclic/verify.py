@@ -50,6 +50,7 @@ from .digraph import (
     Digraph,
     Vertex,
     _bits,
+    _draw_block,
     random_bipartite,
     serialize,
 )
@@ -618,7 +619,10 @@ def _run_block(
     target: Theorem, a: int, p: float, seed: int, start: int, stop: int
 ) -> tuple[int, list[ViolationRecord]]:
     """Evaluate sample indices [start, stop) of one cell; returns the
-    satisfying count and the violation records, picklable for workers."""
+    satisfying count and the violation records, picklable for workers.
+
+    The block's samples are drawn in one pass; sample i is the digraph
+    sample_digraph(seed, a, p, i) returns."""
     if target is Theorem.L3_3:
         evaluate = _eval_l3_3
     else:
@@ -626,8 +630,8 @@ def _run_block(
     label = f"claim {target.value}: "
     satisfying = 0
     violations: list[ViolationRecord] = []
-    for i in range(start, stop):
-        D = sample_digraph(seed, a, p, i)
+    seeds = [sample_seed(seed, a, p, i) for i in range(start, stop)]
+    for i, D in enumerate(_draw_block(a, p, seeds), start):
         units, claims = evaluate(D)
         satisfying += units
         if claims:

@@ -19,6 +19,7 @@ from bipancyclic import (
     sample_digraph,
     serialize,
 )
+from bipancyclic.digraph import _draw_block
 from bipancyclic.errors import (
     BadParams,
     DuplicateArc,
@@ -170,6 +171,7 @@ class TestQueries:
         assert got == naive_dominating_pairs(D)
 
     @given(general_digraphs())
+    @example(Digraph(1, []))  # one vertex, no arcs: strong, though its masks are empty
     def test_is_strong_matches_naive(self, D):
         assert D.is_strong() == naive_is_strong(D)
 
@@ -340,6 +342,29 @@ class TestRandomBipartite:
         # the in-masks are the exact transpose of the out-masks
         assert D == built and D._in == built._in
         assert D._out == _contract_draw(a, p, seed)._out
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 200, 512, 513])
+    def test_block_matches_contract(self, size):
+        # negative and wider-than-64-bit seeds, alternating in sign
+        seeds = [(-1) ** i * (i << 64 | 0x9E3779B97F4A7C15) for i in range(size)]
+        checked = sorted({0, 1, size // 2, size - 2, size - 1} & set(range(size)))
+        for a in range(1, 13):
+            for threshold in (0, 1, 32768, 65535, 65536):
+                p = threshold / 65536
+                block = _draw_block(a, p, seeds)
+                assert len(block) == size
+                for i in checked:
+                    want = _contract_draw(a, p, seeds[i])
+                    assert block[i] == want and block[i]._in == want._in
+                    assert block[i].a == a and block[i].n == 2 * a
+
+    @pytest.mark.parametrize("a", [17, 33])
+    def test_block_matches_contract_past_machine_words(self, a):
+        # 2a bits no longer fit a 32-bit (a = 17) or a 64-bit (a = 33) word
+        seeds = [-5, 2**70, 11]
+        for D, seed in zip(_draw_block(a, 0.5, seeds), seeds):
+            want = _contract_draw(a, 0.5, seed)
+            assert D == want and D._in == want._in
 
     @given(sides, probabilities, probabilities, seeds)
     def test_monotone_coupling_in_p(self, a, p, q, seed):

@@ -348,6 +348,32 @@ class TestSampling:
         D2 = sample_digraph(5, 4, 0.5, 17)
         assert D1 == D2 and D1.a == 4
 
+    def test_block_draws_sample_digraph(self, monkeypatch):
+        # A stand-in evaluator reports every sample with its masks.  513
+        # samples are one block more than _BLOCK drawn at once, and a search
+        # splits them into a full block and a block of one.
+        def every(row, conclude, D):
+            return 1, [f"{D._out} {D._in}"]
+
+        monkeypatch.setattr(verify, "_eval_claim", every)
+        config = SearchConfig(Theorem.T1_8, a_values=(5,), p_values=(0.5,), samples=513, seed=16)
+        assert config.samples == verify._BLOCK + 1
+        _, whole = verify._run_block(Theorem.T1_8, 5, 0.5, config.seed, 0, config.samples)
+        split = run_search(config).violations
+        assert whole == list(split)
+        for i, v in enumerate(whole):
+            D = sample_digraph(config.seed, 5, 0.5, i)
+            assert v.sample_index == i
+            assert v.claim == f"claim 1.8: {D._out} {D._in}"
+            assert v.serialization == serialize(D)
+
+    def test_block_split_is_worker_invariant(self):
+        config = SearchConfig(Theorem.T1_9, a_values=(4,), p_values=(0.7,), samples=513, seed=16)
+        serial, pooled = run_search(config), run_search(config, workers=2)
+        assert serial.hypothesis_satisfying > 0
+        assert serial.render() == pooled.render()
+        assert serial.to_json() == pooled.to_json()
+
 
 class TestSearch:
     CONFIG = SearchConfig(
