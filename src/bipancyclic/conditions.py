@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from .cycles import Cycle, find_bypass, find_cycle_of_length, longest_non_hamiltonian_cycle
-from .digraph import BipartiteDigraph, Digraph, DominatingPair
+from .digraph import BipartiteDigraph, Digraph, DominatingPair, _require_int
 from .errors import BadParams
 
 
@@ -104,8 +104,9 @@ def check_bk(D: BipartiteDigraph, k: int) -> ConditionReport:
     Scans every dominating pair; holds iff each pair's larger total degree
     reaches 2a - 2 + k.  The worst pair is the one with the least larger
     degree, and among those the first in canonical order.  Raises BadParams
-    for negative k.
+    for a k that is not a nonnegative int.
     """
+    _require_int(k, "condition margin")
     if k < 0:
         raise BadParams(f"condition margin must be >= 0, got {k}")
     if not isinstance(D, BipartiteDigraph):

@@ -55,9 +55,6 @@ class Cycle:
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.vertices)
 
-    def __contains__(self, v: object) -> bool:
-        return v in self.vertices
-
 
 @dataclass(frozen=True)
 class PathWitness:

@@ -82,6 +82,16 @@ def _as_vertex(v: VertexLike) -> Vertex:
     return v if isinstance(v, Vertex) else Vertex.parse(v)
 
 
+def _require_int(value: object, what: str) -> None:
+    """Raise BadParams unless value is an int and not a bool.
+
+    Sizes and margins pass through here: a bool side size would build a
+    digraph serialized as ``bipartite a=True``, which parse rejects.
+    """
+    if type(value) is not int:
+        raise BadParams(f"{what} must be an int, got {value!r}")
+
+
 class Degree(NamedTuple):
     out: int
     in_: int
@@ -116,6 +126,7 @@ class Digraph:
     __slots__ = ("n", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[VertexLike, VertexLike]]):
+        _require_int(n, "order")
         if n < 0:
             raise BadParams(f"order must be nonnegative, got {n}")
         self.n = n
@@ -163,19 +174,6 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self._out)
 
-    def has_arc(self, tail: VertexLike, head: VertexLike) -> bool:
-        t = self._index(_as_vertex(tail))
-        h = self._index(_as_vertex(head))
-        return bool(self._out[t] >> h & 1)
-
-    def out_neighbors(self, v: VertexLike) -> tuple[Vertex, ...]:
-        i = self._index(_as_vertex(v))
-        return tuple(self._vertex(j) for j in _bits(self._out[i]))
-
-    def in_neighbors(self, v: VertexLike) -> tuple[Vertex, ...]:
-        i = self._index(_as_vertex(v))
-        return tuple(self._vertex(j) for j in _bits(self._in[i]))
-
     def degree(self, v: VertexLike) -> Degree:
         i = self._index(_as_vertex(v))
         o = self._out[i].bit_count()
@@ -192,11 +190,6 @@ class Digraph:
         return (self._out[i] & mask).bit_count() + (self._in[i] & mask).bit_count()
 
     # -- pair queries --------------------------------------------------------
-
-    def dominating_pairs(self) -> list[DominatingPair]:
-        """All unordered pairs with a common out-neighbor, lex sorted, each
-        with its least common out-neighbor as the witness."""
-        return [DominatingPair(*map(self._vertex, t)) for t in self._dominating_indices()]
 
     def _dominating_indices(self) -> Iterator[tuple[int, int, int]]:
         """(i, j, least common out-neighbor) for every index pair i < j that
@@ -260,6 +253,7 @@ class BipartiteDigraph(Digraph):
     __slots__ = ("a",)
 
     def __init__(self, a: int, arcs: Iterable[tuple[VertexLike, VertexLike]]):
+        _require_int(a, "side size")
         if a < 0:
             raise BadParams(f"side size must be nonnegative, got {a}")
         self.a = a
@@ -421,6 +415,7 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
     ints, so what is left per sample is its digest, three list slices and
     two tuples.
     """
+    _require_int(a, "side size")
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
     if not 0.0 <= p <= 1.0:

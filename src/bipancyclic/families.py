@@ -6,7 +6,7 @@ complete digraphs on balanced sides, plus three non-Hamiltonian general
 constructions hmm / hm_m1_1 / h2m built from two clusters with restricted
 links.  Where a family definition admits many members, generate() returns one
 documented canonical member; family_properties() lists the expectations any
-member must satisfy, and check_family() replays them.
+member must satisfy.
 
 Vertex naming for the general constructions (documented per generator):
 cluster A occupies the low v-indices, cluster B the following block, and any
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .conditions import check_bk
-from .cycles import cycle_spectrum, find_cycle_of_length, is_hamiltonian
-from .digraph import MAX_INPUT_ORDER, BipartiteDigraph, Digraph, Side, Vertex
+from .digraph import MAX_INPUT_ORDER, BipartiteDigraph, Digraph, Side, Vertex, _require_int
 from .errors import BadParams
 
 
@@ -54,6 +52,8 @@ class FamilySpec:
     def validate(self) -> None:
         low = _CATALOG[self.family][0]
         if low is not None:
+            if self.size is not None:
+                _require_int(self.size, f"{self.family.value} size")
             if self.size is None or self.size < low:
                 raise BadParams(f"{self.family.value} needs size >= {low}, got {self.size}")
             # every parametrized family has order 2 * size
@@ -132,6 +132,7 @@ def d6_prime() -> Digraph:
 
 def directed_cycle(a: int) -> BipartiteDigraph:
     """The directed cycle x0 y0 x1 y1 ... x{a-1} y{a-1} back to x0."""
+    _require_int(a, "side size")
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
     arcs = []
@@ -143,6 +144,7 @@ def directed_cycle(a: int) -> BipartiteDigraph:
 
 def complete_bipartite(a: int) -> BipartiteDigraph:
     """Every cross arc in both directions: 2a^2 arcs."""
+    _require_int(a, "side size")
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
     arcs = []
@@ -162,6 +164,7 @@ def h_mm(m: int) -> Digraph:
     A-vertex sends and every B-vertex receives at least one link.
     Not Hamiltonian: a cycle visiting both clusters needs a B -> A arc.
     """
+    _require_int(m, "cluster size")
     if m < 2:
         raise BadParams(f"cluster size must be >= 2, got {m}")
     arcs = _complete_cluster(range(m)) + _complete_cluster(range(m, 2 * m))
@@ -180,6 +183,7 @@ def h_m_m1_1(m: int, mirrored: bool = False) -> Digraph:
     the m vertices of A (plus the link vertex in one orientation) have more
     members than distinct successors available.
     """
+    _require_int(m, "cluster size")
     if m < 2:
         raise BadParams(f"cluster size must be >= 2, got {m}")
     A = list(range(m))
@@ -208,6 +212,7 @@ def h_2m(m: int, both_link_arcs: bool = False) -> Digraph:
     y -> x when both_link_arcs).  Not Hamiltonian: x -> y is the only arc
     from cluster one to cluster two, so one cluster's interior is skipped.
     """
+    _require_int(m, "cluster size")
     if m < 2:
         raise BadParams(f"cluster size must be >= 2, got {m}")
     A = list(range(m - 1))
@@ -263,8 +268,7 @@ class Expectation:
 
 
 def family_properties(spec: FamilySpec) -> tuple[Expectation, ...]:
-    """The claims each family member is on the hook for; replay with
-    check_family."""
+    """The claims each family member is on the hook for."""
     spec.validate()
     f = spec.family
     if f is Family.D8:
@@ -291,92 +295,3 @@ def family_properties(spec: FamilySpec) -> tuple[Expectation, ...]:
             Expectation("cycle_lengths", tuple(range(2, 2 * spec.size + 1, 2))),
         )
     return (Expectation("structure"), Expectation("not_hamiltonian"))
-
-
-# How check_family replays each expectation: (member, spec, arg) -> holds.
-_CHECKS: dict[str, Callable[[Digraph, FamilySpec, object], bool]] = {
-    "strong": lambda D, spec, arg: D.is_strong(),
-    "is_directed_cycle": lambda D, spec, arg: D.is_directed_cycle(),
-    "hamiltonian": lambda D, spec, arg: is_hamiltonian(D),
-    "not_hamiltonian": lambda D, spec, arg: not is_hamiltonian(D),
-    "satisfies_bk": lambda D, spec, arg: check_bk(D, int(arg)).holds,
-    "has_cycle_of_length": lambda D, spec, arg: find_cycle_of_length(D, int(arg)) is not None,
-    "cycle_lengths": lambda D, spec, arg: cycle_spectrum(D).lengths() == tuple(arg),
-    "structure": lambda D, spec, arg: _structure_holds(D, spec),
-}
-
-
-def check_family(spec: FamilySpec) -> list[tuple[Expectation, bool]]:
-    """Generate the member and replay every expectation against it."""
-    D = generate(spec)
-    return [(exp, _CHECKS[exp.check](D, spec, exp.arg)) for exp in family_properties(spec)]
-
-
-# -- structural replay for the H constructions -------------------------------------
-
-
-def _arcset(D: Digraph) -> set[tuple[Vertex, Vertex]]:
-    return set(D.arcs())
-
-
-def _cluster_complete(arcs: set, members: list[Vertex]) -> bool:
-    return all((u, w) in arcs for u in members for w in members if u != w)
-
-
-def _no_arcs_between(arcs: set, left: list[Vertex], right: list[Vertex]) -> bool:
-    return not any(
-        (u, w) in arcs or (w, u) in arcs for u in left for w in right
-    )
-
-
-def _structure_holds(D: Digraph, spec: FamilySpec) -> bool:
-    """Replay the defining constraints of the H constructions verbatim."""
-    m = spec.size
-    assert m is not None
-    arcs = _arcset(D)
-    if spec.family is Family.H_MM:
-        if D.n != 2 * m:
-            return False
-        A = [_v(i) for i in range(m)]
-        B = [_v(i) for i in range(m, 2 * m)]
-        return (
-            _cluster_complete(arcs, A)
-            and _cluster_complete(arcs, B)
-            and not any((b, a) in arcs for b in B for a in A)
-            and all(any((a, b) in arcs for b in B) for a in A)
-            and all(any((a, b) in arcs for a in A) for b in B)
-        )
-    if spec.family is Family.H_M_M1_1:
-        if D.n != 2 * m:
-            return False
-        A = [_v(i) for i in range(m)]
-        B = [_v(i) for i in range(m, 2 * m - 1)]
-        link = _v(2 * m - 1)
-        if not _cluster_complete(arcs, B + [link]):
-            return False
-        if any((u, w) in arcs for u in A for w in A if u != w):
-            return False
-        if not all((a, b) in arcs and (b, a) in arcs for a in A for b in B):
-            return False
-        preds = set(D.in_neighbors(link))
-        succs = set(D.out_neighbors(link))
-        if spec.mirrored:
-            return succs == set(B) and set(A) <= preds
-        return preds == set(B) and set(A) <= succs
-    if spec.family is Family.H_2M:
-        if D.n != 2 * m:
-            return False
-        A = [_v(i) for i in range(m - 1)]
-        x = _v(m - 1)
-        B = [_v(i) for i in range(m, 2 * m - 1)]
-        y = _v(2 * m - 1)
-        return (
-            _cluster_complete(arcs, A + [x])
-            and _cluster_complete(arcs, B + [y])
-            and _no_arcs_between(arcs, A, B)
-            and all((y, a) in arcs for a in A)
-            and all((b, x) in arcs for b in B)
-            and (x, y) in arcs
-            and ((y, x) in arcs) == spec.both_link_arcs
-        )
-    raise BadParams(f"no structural replay for {spec.family.value}")

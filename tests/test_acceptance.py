@@ -19,7 +19,6 @@ from bipancyclic import (
     SearchConfig,
     Theorem,
     check_bk,
-    check_family,
     cycle_spectrum,
     d6,
     d6_prime,
@@ -38,6 +37,7 @@ from bipancyclic import (
 from bipancyclic.naive import naive_cycle_lengths
 
 from _criteria import record
+from _families import check_family
 
 pytestmark = pytest.mark.acceptance
 

@@ -57,6 +57,10 @@ class TestCheckBk:
     def test_bad_params(self):
         with pytest.raises(BadParams):
             check_bk(d8(), -1)
+        # a bool or non-int margin once gave "condition: B_True" or B_1.5
+        for k in (True, False, 1.5, 1.0, "1"):
+            with pytest.raises(BadParams, match=f"^condition margin must be an int, got {k!r}$"):
+                check_bk(d8(), k)
         with pytest.raises(BadParams):
             check_bk(Digraph(2, [("v0", "v1")]), 1)
 
@@ -82,8 +86,8 @@ class TestCheckBk:
     def test_report_against_direct_scan(self, D):
         threshold = 2 * D.a - 2
         violated = any(
-            max(D.degree(p.u).total, D.degree(p.v).total) < threshold
-            for p in D.dominating_pairs()
+            max(D.degree(u).total, D.degree(v).total) < threshold
+            for u, v, _ in naive_dominating_pairs(D)
         )
         assert check_bk(D, 0).holds == (not violated)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +11,17 @@ from hypothesis import strategies as st
 from bipancyclic import (
     BipartiteDigraph,
     Digraph,
+    Family,
+    FamilySpec,
     Side,
     Vertex,
+    complete_bipartite,
     d8,
     directed_cycle,
+    generate,
+    h_2m,
+    h_m_m1_1,
+    h_mm,
     parse,
     random_bipartite,
     sample_digraph,
@@ -67,7 +75,8 @@ class TestVertex:
         assert Vertex.parse("y0") == Vertex(Side.Y, 0)
         assert Vertex.parse("v12") == Vertex(Side.GENERAL, 12)
         assert Vertex.parse("x" + "9" * 18).index == 10**18 - 1
-        assert Digraph(1000, [("v999", "v0")]).has_arc("v999", "v0")
+        arcs = Digraph(1000, [("v999", "v0")]).arcs()
+        assert [(str(u), str(w)) for u, w in arcs] == [("v999", "v0")]
 
     @pytest.mark.parametrize(
         "bad", ["", "x", "z1", "x-1", "1x", "xy1", "x1y", "y\u00b2", "x" + "1" * 19]
@@ -105,6 +114,37 @@ class TestConstruction:
         with pytest.raises(BadParams):
             Digraph(-1, [])
 
+    @pytest.mark.parametrize(
+        "what,build",
+        [
+            ("order", lambda size: Digraph(size, [])),
+            ("side size", lambda size: BipartiteDigraph(size, [])),
+            ("side size", lambda size: random_bipartite(size, 1.0, 0)),
+            ("side size", lambda size: _draw_block(size, 1.0, [0, 1])),
+            ("side size", directed_cycle),
+            ("side size", complete_bipartite),
+            ("cluster size", h_mm),
+            ("cluster size", h_m_m1_1),
+            ("cluster size", h_2m),
+        ]
+        + [
+            (f"{family.value} size", lambda size, family=family: generate(FamilySpec(family, size)))
+            for family in (
+                Family.DIRECTED_CYCLE,
+                Family.COMPLETE_BIPARTITE,
+                Family.H_MM,
+                Family.H_M_M1_1,
+                Family.H_2M,
+            )
+        ],
+    )
+    @pytest.mark.parametrize("size", [True, False, 2.5, 3.0, "3"])
+    def test_non_int_size_rejected(self, what, build, size):
+        # a bool size once built a digraph serialized as "bipartite a=True"
+        message = f"{what} must be an int, got {size!r}"
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            build(size)
+
     def test_equality_and_hash(self):
         D1 = BipartiteDigraph(2, [("x0", "y0"), ("y0", "x1")])
         D2 = BipartiteDigraph(2, [("y0", "x1"), ("x0", "y0")])
@@ -126,14 +166,9 @@ class TestQueries:
             deg = D.degree(name)
             assert (deg.out, deg.in_, deg.total) == (o, i, t), name
 
-    def test_neighbors_sorted(self):
-        D = d8()
-        assert [str(v) for v in D.out_neighbors("x2")] == ["y0", "y1", "y2", "y3"]
-        assert [str(v) for v in D.in_neighbors("x0")] == ["y0", "y1"]
-
     def test_dominating_pairs_on_d8(self):
         D = d8()
-        got = [(str(p.u), str(p.v), str(p.witness)) for p in D.dominating_pairs()]
+        got = [tuple(str(D._vertex(i)) for i in t) for t in D._dominating_indices()]
         assert got == [
             ("x0", "x2", "y0"), ("x0", "x3", "y0"), ("x1", "x2", "y1"),
             ("x1", "x3", "y1"), ("x2", "x3", "y0"), ("y0", "y1", "x0"),
@@ -167,7 +202,7 @@ class TestQueries:
 
     @given(bipartite_digraphs())
     def test_dominating_pairs_match_naive(self, D):
-        got = [(p.u, p.v, p.witness) for p in D.dominating_pairs()]
+        got = [tuple(map(D._vertex, t)) for t in D._dominating_indices()]
         assert got == naive_dominating_pairs(D)
 
     @given(general_digraphs())
