@@ -14,12 +14,13 @@ from bipancyclic import (
     complete_bipartite,
     d8,
     directed_cycle,
+    longest_non_hamiltonian_cycle,
     verify_theorem,
 )
 from bipancyclic.cli import render_verdict
-from bipancyclic.conditions import bk_holds
+from bipancyclic.conditions import _bypassed_longest, bk_holds
 from bipancyclic.errors import BadParams
-from bipancyclic.naive import naive_dominating_pairs
+from bipancyclic.naive import naive_bypasses, naive_dominating_pairs
 
 from test_digraph import bipartite_digraphs
 
@@ -190,3 +191,39 @@ class TestHypotheses:
         lines = render_verdict(verify_theorem(directed_cycle(4), Theorem.T1_10)).splitlines()
         assert lines[1] == "hypotheses: not satisfied"
         assert lines[2 : 2 + len(rep.failures)] == [f"  - {f}" for f in rep.failures]
+
+
+class TestBypassPremise:
+    """Lemma 3.4's premise against the naive bypass enumeration."""
+
+    @staticmethod
+    def expected(D):
+        C = longest_non_hamiltonian_cycle(D)
+        if C is None or C.length < 4:
+            return None
+        gaps = {gap for gap, _ in naive_bypasses(D, C.vertices)}
+        return C if 1 in gaps else None
+
+    @given(bipartite_digraphs(max_a=4))
+    def test_against_naive_oracle(self, D):
+        assert _bypassed_longest(D) == self.expected(D)
+
+    def test_d8_least_bypass_has_gap_4(self):
+        D = d8()
+        C = longest_non_hamiltonian_cycle(D)
+        assert min(gap for gap, _ in naive_bypasses(D, C.vertices)) == 4
+        assert _bypassed_longest(D) is None
+
+    def test_complete_holds(self):
+        D = complete_bipartite(4)
+        C = _bypassed_longest(D)
+        assert C is not None and C == longest_non_hamiltonian_cycle(D)
+        assert C.length == 6
+
+    def test_no_bypass(self):
+        # a 6-cycle plus an arcless pair: nothing can leave the cycle
+        ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
+        D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
+        assert longest_non_hamiltonian_cycle(D).length == 6
+        assert naive_bypasses(D, longest_non_hamiltonian_cycle(D).vertices) == []
+        assert _bypassed_longest(D) is None
