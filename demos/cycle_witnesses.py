@@ -2,22 +2,24 @@
 Spectra, witnesses, and bypasses
 ================================
 
-The cycle engine answers three kinds of question: which lengths occur,
-an explicit cycle for each length, and how a cycle can be shortcut
-through outside vertices.  This script runs all three on the named
-families where the answers are known in advance.
+The cycle engine answers two kinds of question: which lengths occur, and
+an explicit cycle for each length.  Lemma 3.4 then asks whether a cycle
+can be shortcut through outside vertices.  This script runs all three on
+the named families where the answers are known in advance.
 """
 
 from bipancyclic import (
+    Theorem,
+    check_theorem_hypotheses,
     complete_bipartite,
     cycle_spectrum,
     d6,
     d6_prime,
     d8,
     directed_cycle,
-    find_bypass,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
+    verify_theorem,
 )
 
 # the complete balanced bipartite digraph hits every even length
@@ -45,13 +47,15 @@ for name, D in (("D_6", d6()), ("D'_6", d6_prime())):
 print()
 
 # a bypass leaves a cycle, wanders outside, and re-enters further along;
-# the gap counts the hops of cycle skipped.  On the 8-vertex exception
-# the longest non-Hamiltonian cycle admits one through the two weak
-# vertices.
+# its gap counts the hops of cycle skipped.  Lemma 3.4's premise asks for
+# a gap-1 bypass on the longest non-Hamiltonian cycle.  On the 8-vertex
+# exception the only bypasses skip four hops, so the premise fails; on the
+# complete digraph every outside vertex gives one.
 D = d8()
-host = longest_non_hamiltonian_cycle(D)
 print("8-vertex exception")
-print("  host cycle:", host)
-bypass = find_bypass(D, host)
-print("  bypass:", bypass)
-print("  (the interior vertex is one of the two the cycle skips)")
+print("  longest non-Hamiltonian cycle:", longest_non_hamiltonian_cycle(D))
+for failure in check_theorem_hypotheses(D, Theorem.L3_4).failures:
+    print("  lemma 3.4:", failure)
+verdict = verify_theorem(K, Theorem.L3_4)
+print("complete bipartite, a=4")
+print("  lemma 3.4:", verdict.outcome, "->", verdict.conclusion.kind, verdict.conclusion.cycle)

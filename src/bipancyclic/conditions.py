@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .cycles import Cycle, find_bypass, find_cycle_of_length, longest_non_hamiltonian_cycle
-from .digraph import BipartiteDigraph, Digraph, DominatingPair, _require_int
+from .cycles import Cycle, find_cycle_of_length, longest_non_hamiltonian_cycle
+from .digraph import BipartiteDigraph, Digraph, DominatingPair, _reach, _require_int
 from .errors import BadParams
 
 
@@ -227,13 +227,25 @@ _PREMISE: _Clause = (
 
 
 def _bypassed_longest(D: BipartiteDigraph) -> Cycle | None:
-    """The longest non-Hamiltonian cycle when it has length >= 4 and a
-    gap-1 bypass (the least bypass has the least gap), else None."""
+    """The longest non-Hamiltonian cycle C when it has length >= 4 and a
+    gap-1 bypass, else None.
+
+    A gap-1 bypass runs from a vertex u of C to its successor w on C through
+    one or more vertices off C.  The sweep from u through the off-cycle
+    vertices reaches exactly those that u reaches by a path whose inner
+    vertices are all off C, so such a path to w exists iff one of them sends
+    an arc to w.  Only existence matters: the least bypass has gap 1 iff
+    some bypass has gap 1.
+    """
     C = longest_non_hamiltonian_cycle(D)
     if C is None or C.length < 4:
         return None
-    bypass = find_bypass(D, C)
-    return C if bypass is not None and bypass.gap == 1 else None
+    idx = [D._index(v) for v in C.vertices]
+    off = (1 << D.n) - 1 - sum(1 << i for i in idx)
+    for u, w in zip(idx, [*idx[1:], idx[0]]):
+        if _reach(D._out, u, off) & off & D._in[w]:
+            return C
+    return None
 
 
 _BYPASS_PREMISE: _Clause = (

@@ -1,4 +1,4 @@
-"""Exhaustive cycle and bypass search with deterministic witnesses.
+"""Exhaustive cycle search with deterministic witnesses.
 
 Search contract shared by every operation in this module: candidate witnesses
 are explored in canonical vertex order and the first hit is returned, so the
@@ -54,37 +54,6 @@ class Cycle:
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.vertices)
-
-
-@dataclass(frozen=True)
-class PathWitness:
-    """A directed path given as its vertex sequence."""
-
-    vertices: tuple[Vertex, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def __str__(self) -> str:
-        return " ".join(str(v) for v in self.vertices)
-
-
-@dataclass(frozen=True)
-class Bypass:
-    """A path leaving a host cycle and re-entering it further along.
-
-    ``path`` runs from a cycle vertex through >= 1 off-cycle vertices back to
-    a different cycle vertex; ``gap`` counts how many steps along the cycle
-    separate the path's endpoints (1 <= gap <= length - 1).
-    """
-
-    path: PathWitness
-    host_cycle: Cycle
-    gap: int
-
-    def __str__(self) -> str:
-        return f"gap {self.gap}: {self.path}"
 
 
 @dataclass(frozen=True)
@@ -373,63 +342,6 @@ def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) ->
         cycle = find_cycle_of_length(D, m)
         if cycle is not None:
             return cycle
-    return None
-
-
-def find_bypass(D: Digraph, cycle: Sequence[VertexLike] | Cycle) -> Bypass | None:
-    """Minimal bypass of the given cycle, or None.
-
-    A bypass is a path from one cycle vertex to another whose interior is
-    nonempty and disjoint from the cycle.  The host cycle must be valid and
-    non-Hamiltonian (otherwise no interior vertices exist).  Ties break by
-    (gap, entry vertex, path sequence), all in canonical order, so the result
-    is deterministic.
-    """
-    C = check_cycle(D, cycle)
-    L = C.length
-    if L >= D.n:
-        raise InvalidCycle("bypass search needs off-cycle vertices, cycle is Hamiltonian")
-    idx = [D._index(v) for v in C.vertices]
-    pos = {i: k for k, i in enumerate(idx)}
-    on_mask = 0
-    for i in idx:
-        on_mask |= 1 << i
-    off_mask = ((1 << D.n) - 1) & ~on_mask
-    for gap in range(1, L):
-        for u in sorted(idx):
-            w = idx[(pos[u] + gap) % L]
-            hit = _lex_min_path(D._out, D._in, u, w, off_mask)
-            if hit is not None:
-                return Bypass(
-                    path=PathWitness(tuple(D._vertex(i) for i in hit)),
-                    host_cycle=C,
-                    gap=gap,
-                )
-    return None
-
-
-def _lex_min_path(
-    out: Sequence[int], inn: Sequence[int], src: int, dst: int, free: int
-) -> list[int] | None:
-    """Least path src -> dst with >= 1 interior vertex, all of them in free.
-
-    Each step takes the least successor from which dst is still reachable
-    through unused vertices of free.  Such a successor always has one of its
-    own, so the walk never backtracks and its first path is the least.
-    """
-    path = [src]
-    cand = out[src] & free
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        w = low.bit_length() - 1
-        if inn[dst] & _reach(out, w, free):
-            path.append(w)
-            if out[w] >> dst & 1:
-                path.append(dst)
-                return path
-            free &= ~low
-            cand = out[w] & free
     return None
 
 

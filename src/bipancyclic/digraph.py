@@ -85,8 +85,9 @@ def _as_vertex(v: VertexLike) -> Vertex:
 def _require_int(value: object, what: str) -> None:
     """Raise BadParams unless value is an int and not a bool.
 
-    Sizes and margins pass through here: a bool side size would build a
-    digraph serialized as ``bipartite a=True``, which parse rejects.
+    Sizes, margins and random_bipartite's seed pass through here: a bool
+    side size would build a digraph serialized as ``bipartite a=True``,
+    which parse rejects, and a seed "3" would draw the digraph of seed 3.
     """
     if type(value) is not int:
         raise BadParams(f"{what} must be an int, got {value!r}")
@@ -402,8 +403,10 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
 
     This is a block of one seed: the search draws a block of samples at a
     time (``_draw_block``) from the same per-sample digests, under the same
-    contract.
+    contract.  Raises BadParams for a side size or seed that is not an int,
+    and for a p that is not a number in [0, 1].
     """
+    _require_int(seed, "seed")
     return _draw_block(a, p, [seed])[0]
 
 
@@ -418,6 +421,8 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
     _require_int(a, "side size")
     if a < 1:
         raise BadParams(f"side size must be >= 1, got {a}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise BadParams(f"arc probability must be a number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise BadParams(f"arc probability must be in [0, 1], got {p}")
     n, m, count = 2 * a, 2 * a * a, len(seeds)  # order, arc slots per sample, samples

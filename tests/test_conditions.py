@@ -224,6 +224,16 @@ class TestBypassPremise:
         # a 6-cycle plus an arcless pair: nothing can leave the cycle
         ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
         D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
-        assert longest_non_hamiltonian_cycle(D).length == 6
-        assert naive_bypasses(D, longest_non_hamiltonian_cycle(D).vertices) == []
+        C = longest_non_hamiltonian_cycle(D)
+        assert C.length == 6 and naive_bypasses(D, C.vertices) == []
         assert _bypassed_longest(D) is None
+
+    def test_bypass_on_the_closing_arc(self):
+        # the same 6-cycle, whose only bypass y2 x3 y3 x0 spans its closing arc
+        ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
+        arcs = list(zip(ring, ring[1:] + ring[:1])) + [("y2", "x3"), ("x3", "y3"), ("y3", "x0")]
+        D = BipartiteDigraph(4, arcs)
+        C = longest_non_hamiltonian_cycle(D)
+        assert [str(v) for v in C.vertices] == ring
+        assert [g for g, _ in naive_bypasses(D, C.vertices)] == [1]
+        assert _bypassed_longest(D) == C

@@ -1,4 +1,4 @@
-"""Cycle engine: witnesses, spectra, bypasses, and oracle agreement."""
+"""Cycle engine: witnesses, spectra, and oracle agreement."""
 
 import gc
 from itertools import permutations
@@ -19,7 +19,6 @@ from bipancyclic import (
     d6,
     d8,
     directed_cycle,
-    find_bypass,
     find_cycle_of_length,
     is_hamiltonian,
     longest_non_hamiltonian_cycle,
@@ -35,7 +34,6 @@ from bipancyclic.errors import (
 )
 from bipancyclic.families import h_2m, h_m_m1_1, h_mm
 from bipancyclic.naive import (
-    naive_bypasses,
     naive_cycle_lengths,
     naive_cycles,
     naive_find_cycle,
@@ -505,63 +503,6 @@ def name_level_rules(D: Digraph, names: list[str]) -> Cycle:
         if (u, w) not in arcs:
             raise InvalidCycle(f"missing arc {u} {w}")
     return Cycle(vs)
-
-
-class TestBypass:
-    def test_d8_minimal_bypass(self):
-        D = d8()
-        C = check_cycle(D, ["x1", "y1", "x2", "y3", "x3", "y0"])
-        bp = find_bypass(D, C)
-        assert bp is not None
-        assert bp.gap == 4
-        assert str(bp.path) == "x3 y2 x2"
-        assert bp.host_cycle == C
-
-    def test_d8_bypass_matches_naive_minimum(self):
-        D = d8()
-        C = check_cycle(D, ["x1", "y1", "x2", "y3", "x3", "y0"])
-        allb = naive_bypasses(D, C.vertices)
-        assert allb, "bypass expected"
-        best_gap = min(gap for gap, _ in allb)
-        bp = find_bypass(D, C)
-        assert bp.gap == best_gap
-        assert (bp.gap, tuple(bp.path.vertices)) in [
-            (gap, path) for gap, path in allb
-        ]
-
-    def test_no_bypass(self):
-        # a 6-cycle plus an arcless pair: nothing can leave the cycle
-        ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
-        arcs = list(zip(ring, ring[1:] + ring[:1]))
-        D = BipartiteDigraph(4, arcs)
-        C = check_cycle(D, ring)
-        assert find_bypass(D, C) is None
-
-    def test_hamiltonian_cycle_rejected(self):
-        D = complete_bipartite(2)
-        C = check_cycle(D, ["x0", "y0", "x1", "y1"])
-        with pytest.raises(InvalidCycle):
-            find_bypass(D, C)
-
-    @given(bipartite_digraphs(min_a=2, max_a=3))
-    @settings(max_examples=60)
-    def test_bypass_minimal_and_valid(self, D):
-        spec = cycle_spectrum(D)
-        for m, C in spec.witnesses:
-            if m >= D.n:
-                continue
-            bp = find_bypass(D, C)
-            allb = naive_bypasses(D, C.vertices)
-            if bp is None:
-                assert allb == []
-                continue
-            assert min(g for g, _ in allb) == bp.gap
-            assert (bp.gap, bp.path.vertices) in allb
-            # endpoints on the cycle, interior off it
-            assert bp.path.vertices[0] in C.vertices
-            assert bp.path.vertices[-1] in C.vertices
-            for v in bp.path.vertices[1:-1]:
-                assert v not in C.vertices
 
 
 class TestCyclesThroughVertex:

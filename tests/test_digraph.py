@@ -344,6 +344,9 @@ class TestRandomBipartite:
     def test_extremes(self, a, seed):
         assert random_bipartite(a, 0.0, seed).arc_count == 0
         assert random_bipartite(a, 1.0, seed).arc_count == 2 * a * a
+        # an int p is a number too
+        assert random_bipartite(a, 0, seed).arc_count == 0
+        assert random_bipartite(a, 1, seed).arc_count == 2 * a * a
 
     @given(st.integers(-(2**70), 0), sides, bad_probabilities, probabilities, seeds)
     @example(0, 3, 1.5, 0.5, 1)
@@ -352,6 +355,27 @@ class TestRandomBipartite:
             random_bipartite(bad_a, p, seed)
         with pytest.raises(BadParams, match=r"^arc probability must be in \[0, 1\], got "):
             random_bipartite(a, bad_p, seed)
+
+    @pytest.mark.parametrize(
+        "p,seed,message",
+        [
+            (True, 0, "arc probability must be a number, got True"),
+            (False, 0, "arc probability must be a number, got False"),
+            ("0.5", 0, "arc probability must be a number, got '0.5'"),
+            (None, 0, "arc probability must be a number, got None"),
+            (0.5, "3", "seed must be an int, got '3'"),
+            (0.5, 1.5, "seed must be an int, got 1.5"),
+            (0.5, True, "seed must be an int, got True"),
+            (0.5, None, "seed must be an int, got None"),
+        ],
+    )
+    def test_non_number_p_and_non_int_seed_rejected(self, p, seed, message):
+        # p=True once drew the complete digraph and seed "3" that of seed 3
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            random_bipartite(2, p, seed)
+        if type(seed) is int:  # the search draws whole blocks of int seeds
+            with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+                _draw_block(2, p, [seed, seed + 1])
 
     def test_known_draw(self):
         # frozen stream: a change to the draws, their order or the threshold
