@@ -34,6 +34,7 @@ from .conditions import (
     Theorem,
     _CLAUSES,
     _Row,
+    _search_row,
     _walk,
     check_theorem_hypotheses,
 )
@@ -362,8 +363,8 @@ class SearchConfig:
     """Grid plus budget for one search run.
 
     samples counts digraphs drawn per (a, p) cell, at most MAX_SAMPLES.  The
-    per-sample RNG seed is sha256(f"{seed}|{a}|{p!r}|{index}") truncated to
-    64 bits, so any single sample can be regenerated in isolation.
+    per-sample RNG seed is sha256(f"{seed}|{a}|{float(p)!r}|{index}")
+    truncated to 64 bits, so any single sample can be regenerated in isolation.
     """
 
     target: Theorem
@@ -508,10 +509,26 @@ class SearchReport:
         }
 
 
+def _sample_seeds(seed: int, a: int, p: float, start: int, stop: int) -> list[int]:
+    """sample_seed of each index in [start, stop) of one cell.
+
+    The key's prefix is formatted and hashed once; each index then costs a
+    copy of that hash state.  p enters as float(p), the value the command
+    line parses from a repro command's ``--p``, so an int p keys the same
+    seeds as its float.
+    """
+    prefix = hashlib.sha256(f"{seed}|{a}|{float(p)!r}|".encode())
+    seeds = []
+    for index in range(start, stop):
+        key = prefix.copy()
+        key.update(str(index).encode())
+        seeds.append(int.from_bytes(key.digest()[:8], "big"))
+    return seeds
+
+
 def sample_seed(seed: int, a: int, p: float, index: int) -> int:
     """The per-sample RNG seed; pure, platform-stable."""
-    key = f"{seed}|{a}|{p!r}|{index}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return _sample_seeds(seed, a, p, index, index + 1)[0]
 
 
 def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
@@ -521,8 +538,8 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
 
 # Per-target evaluation: returns (satisfying units, violation claims), which
 # _run_block prefixes with the statement id.  Every target but lemma 3.3 walks
-# the clause row certify reports on, stopping at the first failure, then runs
-# the conclusion routine certify runs.
+# the clause row certify reports on, in the search's order (_search_row) and
+# stopping at the first failure, then runs the conclusion routine certify runs.
 
 
 def _eval_claim(row: _Row, conclude: _Conclude, D: BipartiteDigraph) -> tuple[int, list[str]]:
@@ -626,12 +643,11 @@ def _run_block(
     if target is Theorem.L3_3:
         evaluate = _eval_l3_3
     else:
-        evaluate = partial(_eval_claim, _CLAUSES[target], _CONCLUSIONS[target])
+        evaluate = partial(_eval_claim, _search_row(_CLAUSES[target]), _CONCLUSIONS[target])
     label = f"claim {target.value}: "
     satisfying = 0
     violations: list[ViolationRecord] = []
-    seeds = [sample_seed(seed, a, p, i) for i in range(start, stop)]
-    for i, D in enumerate(_draw_block(a, p, seeds), start):
+    for i, D in enumerate(_draw_block(a, p, _sample_seeds(seed, a, p, start, stop)), start):
         units, claims = evaluate(D)
         satisfying += units
         if claims:

@@ -18,7 +18,15 @@ from bipancyclic import (
     verify_theorem,
 )
 from bipancyclic.cli import render_verdict
-from bipancyclic.conditions import _bypassed_longest, bk_holds
+from bipancyclic.conditions import (
+    _CLAUSES,
+    _STRONG,
+    _TWO_SIDED,
+    _bypassed_longest,
+    _search_row,
+    _walk,
+    bk_holds,
+)
 from bipancyclic.errors import BadParams
 from bipancyclic.naive import naive_bypasses, naive_dominating_pairs
 
@@ -191,6 +199,72 @@ class TestHypotheses:
         lines = render_verdict(verify_theorem(directed_cycle(4), Theorem.T1_10)).splitlines()
         assert lines[1] == "hypotheses: not satisfied"
         assert lines[2 : 2 + len(rep.failures)] == [f"  - {f}" for f in rep.failures]
+
+
+def _strong_not_b0():
+    # the directed 8-cycle plus x0 -> y1, which x1 -> y1 already enters:
+    # strong, but {x0, x1} is a dominating pair of degrees 3 and 2
+    ring = ["x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"]
+    return BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])) + [("x0", "y1")])
+
+
+def _b1_not_strong():
+    # complete_bipartite(4) without the arcs into x0: every dominating pair
+    # has a vertex of degree 7 or 8, but nothing reaches x0
+    arcs = [(str(u), str(v)) for u, v in complete_bipartite(4).arcs() if str(v) != "x0"]
+    return BipartiteDigraph(4, arcs)
+
+
+def _neither():
+    return BipartiteDigraph(4, [("x0", "y0"), ("x1", "y0")])
+
+
+class TestSearchOrder:
+    """The search walks each row's gates cheapest first; certify lists the
+    failures in report order.  Both must agree on whether the row holds."""
+
+    @pytest.mark.parametrize(
+        ("build", "failing"),
+        [
+            (_strong_not_b0, {"degree condition"}),
+            (_b1_not_strong, {"connectivity"}),
+            (_neither, {"connectivity", "degree condition"}),
+        ],
+    )
+    def test_one_gate_each(self, build, failing):
+        D = build()
+        for theorem in [t for t in Theorem if t not in (Theorem.T1_6, Theorem.L3_3)]:
+            # every row with a B_k gate fails exactly the expected gates
+            report = check_theorem_hypotheses(D, theorem)
+            assert {f.split(":")[0] for f in report.failures} == failing
+        for theorem in Theorem:
+            report = check_theorem_hypotheses(D, theorem)
+            failed, premise = _walk(D, _search_row(_CLAUSES[theorem]), stop=True)
+            assert (not failed) == report.satisfied
+            assert len(failed) <= 1
+            assert premise == report._premise
+
+    def test_degree_before_connectivity(self):
+        # failing both, the search stops at B_k; the report lists
+        # connectivity first
+        D = _neither()
+        for theorem in (Theorem.T1_8, Theorem.T1_9, Theorem.L3_2):
+            failed, _ = _walk(D, _search_row(_CLAUSES[theorem]), stop=True)
+            assert failed[0].explain(D).startswith("degree condition: B_")
+            report = check_theorem_hypotheses(D, theorem)
+            assert report.failures[0] == "connectivity: not strongly connected"
+
+    def test_rows_keep_their_clauses(self):
+        # the search order permutes a row's gates and keeps its premise
+        for row in _CLAUSES.values():
+            gates, premise = _search_row(row)
+            assert sorted(map(id, gates)) == sorted(map(id, row[0]))
+            assert premise is row[1]
+        # order, then B_k, then the reachability sweeps
+        (strong, order, b0), _ = _CLAUSES[Theorem.T1_9]
+        assert _search_row(_CLAUSES[Theorem.T1_9])[0] == (order, b0, strong)
+        # the two-sided condition stays after strong connectivity
+        assert _search_row(_CLAUSES[Theorem.T1_6])[0][1:] == (_STRONG, _TWO_SIDED)
 
 
 class TestBypassPremise:

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +24,7 @@ from bipancyclic import (
     SearchConfig,
     Theorem,
     TheoremVerdict,
+    ViolationRecord,
     check_cycle,
     check_theorem_hypotheses,
     complete_bipartite,
@@ -344,6 +347,48 @@ class TestSampling:
         assert sample_seed(0, 4, 0.5, 0) != sample_seed(0, 4, 0.5, 1)
         assert sample_seed(0, 4, 0.5, 0) != sample_seed(1, 4, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        ("args", "expected"),
+        [
+            ((0, 4, 0.5, 0), 11999205790312156489),
+            ((0, 4, 0.5, 1), 283947573263296871),
+            ((1, 4, 0.5, 0), 12548404424043752316),
+            ((5151000003, 6, 0.3, 511), 11203446274911889395),
+            ((-7, 5, 1 / 3, 512), 14840022624616544035),
+            ((12345678901234567890, 12, 1e-05, 0), 10117389584563339416),
+            ((0, 4, 1.0, 0), 2360544451572589915),
+            ((0, 4, 1, 0), 2360544451572589915),  # an int p keys as its float
+        ],
+    )
+    def test_sample_seed_known_answers(self, args, expected):
+        # docs/formats.md's contract: sha256 of "seed|a|p|index", p as a
+        # float's repr, read big-endian from the first 8 bytes
+        assert sample_seed(*args) == expected
+
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 1e-05, 0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, -3, 12345678901234567890, -98765432109876543210])
+    def test_block_seeds_match_per_index(self, p, seed):
+        def contract(i):
+            key = f"{seed}|5|{p!r}|{i}".encode()
+            return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
+        # starts below, at and past the first block boundary
+        for start, stop in [(0, 3), (509, 515), (512, 514), (1020, 1030)]:
+            seeds = verify._sample_seeds(seed, 5, p, start, stop)
+            assert seeds == [sample_seed(seed, 5, p, i) for i in range(start, stop)]
+            assert seeds == [contract(i) for i in range(start, stop)]
+
+    def test_repro_command_redraws_an_int_p_sample(self):
+        # the command line parses --p 1 as 1.0, which must key the same seed
+        record = ViolationRecord(Theorem.T1_8, 4, 1, 2, "claim 1.8: synthetic", "", 9)
+        argv = shlex.split(record.repro_command())[1:]
+        args = cli._build_parser().parse_args(argv)
+        config = SearchConfig(
+            Theorem(args.target), tuple(args.a), tuple(args.p), args.samples, args.seed
+        )
+        assert config.p_values == (1.0,)
+        assert record.sample_seed == sample_seed(config.seed, 4, 1.0, config.samples - 1)
+
     def test_sample_digraph_reproducible(self):
         D1 = sample_digraph(5, 4, 0.5, 17)
         D2 = sample_digraph(5, 4, 0.5, 17)
@@ -475,14 +520,12 @@ class TestSearch:
 
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_hypotheses_hold_matches_report(self, theorem):
-        # the search's early-stop walk agrees with certify's full report
-        row = conditions._CLAUSES[theorem]
-        digraphs = [
-            sample_digraph(2, a, p, i)
-            for a in (3, 4, 5)
-            for p in (0.7, 0.9)
-            for i in range(100)
-        ]
+        # the search's early-stop walk, in its own order, agrees with
+        # certify's full report, here and on the benchmark's grid
+        row = conditions._search_row(conditions._CLAUSES[theorem])
+        cells = [(a, p) for a in (3, 4, 5) for p in (0.7, 0.9)]
+        cells += [(a, p) for a in (4, 5, 6) for p in (0.3, 0.5, 0.7)]
+        digraphs = [sample_digraph(2, a, p, i) for a, p in cells for i in range(100)]
         digraphs.append(Digraph(3, [("v0", "v1"), ("v1", "v2"), ("v2", "v0")]))
         satisfied = 0
         for D in digraphs:
@@ -494,6 +537,46 @@ class TestSearch:
                 assert premise == report._premise
             satisfied += report.satisfied
         assert 0 < satisfied < len(digraphs)
+
+    def test_search_tests_bk_before_strong_connectivity(self, monkeypatch):
+        # Counting wrappers around every gate: the search sweeps for strong
+        # connectivity only on samples that passed order and B_k, tests each
+        # gate at most once per sample, and reports what it reported before.
+        targets = (Theorem.T1_7, Theorem.T1_9, Theorem.L3_2)
+        configs = [SearchConfig(t, samples=150, seed=4) for t in targets]
+        plain = [run_search(config).render() for config in configs]
+        calls = []  # (sample, gate, result); holding D keeps its id unique
+
+        def counted(clause):
+            def holds(D):
+                result = clause.holds(D)
+                calls.append((D, clause.explain, result))
+                return result
+
+            return clause._replace(holds=holds)
+
+        rows = {
+            t: (tuple(map(counted, gates)), premise)
+            for t, (gates, premise) in conditions._CLAUSES.items()
+        }
+        monkeypatch.setattr(verify, "_CLAUSES", rows)
+        strong = conditions._STRONG.explain
+        for config, expected in zip(configs, plain):
+            calls.clear()
+            assert run_search(config).render() == expected
+            walks = {}
+            for D, gate, result in calls:
+                walks.setdefault(id(D), []).append((gate, result))
+            assert len(walks) == 9 * 150
+            sweeps = 0
+            for walk in walks.values():
+                gates = [gate for gate, _ in walk]
+                assert len(set(gates)) == len(gates)
+                if strong in gates:
+                    sweeps += 1
+                    before = walk[: gates.index(strong)]
+                    assert len(before) == 2 and all(result for _, result in before)
+            assert 0 < sweeps < len(walks) / 5
 
     def test_premise_runs_only_after_every_gate(self, monkeypatch):
         calls = []
