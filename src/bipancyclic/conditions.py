@@ -108,9 +108,7 @@ def check_bk(D: BipartiteDigraph, k: int) -> ConditionReport:
     degree, and among those the first in canonical order.  Raises BadParams
     for a k that is not a nonnegative int.
     """
-    _require_int(k, "condition margin")
-    if k < 0:
-        raise BadParams(f"condition margin must be >= 0, got {k}")
+    _require_int(k, "condition margin", 0)
     if not isinstance(D, BipartiteDigraph):
         raise BadParams("degree condition is defined on balanced bipartite digraphs")
     threshold = 2 * D.a - 2 + k

@@ -36,7 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import BipartiteDigraph, Digraph, Vertex, VertexLike, _as_vertex, _bits, _reach
+from .digraph import (
+    BipartiteDigraph,
+    Digraph,
+    Vertex,
+    VertexLike,
+    _as_vertex,
+    _bits,
+    _reach,
+    _require_int,
+)
 from .errors import BadLength, InvalidCycle, PreconditionUnmet, TooLarge, WitnessNotFound
 
 DEFAULT_MAX_ORDER = 24
@@ -68,7 +77,15 @@ class CycleSpectrum:
         return tuple(m for m, _ in self.witnesses)
 
     def is_even_pancyclic(self) -> bool:
-        """True iff every even length 2..2a is achieved (bipartite host only)."""
+        """True iff every even length 2..2a is achieved (bipartite host only).
+
+        The package's definition counts the 2-cycle.  The paper's asks for a
+        cycle of length 2k for every 2 <= k <= a, lengths 4..2a, so a
+        bipartite digraph with every length 4..2a but no 2-cycle (the
+        directed cycle on 4 vertices, say) is even pancyclic in the paper
+        and not here.  The certificates of claims 1.6, 1.9 and 1.10 ask for
+        the 2-cycle too.
+        """
         if self.side_size is None:
             return False
         return self.lengths() == tuple(range(2, 2 * self.side_size + 1, 2))
@@ -296,11 +313,10 @@ def _find_cycle_indices(D: Digraph, m: int, cores: dict[int, int]) -> list[int] 
 def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
     """Lexicographically least cycle of exactly m vertices, or None.
 
-    Raises BadLength unless 2 <= m <= n.  In a bipartite host an odd m is
-    immediately None (no odd cycles exist there).
+    Raises BadLength unless m is an int with 2 <= m <= n.  In a bipartite
+    host an odd m is immediately None (no odd cycles exist there).
     """
-    if not 2 <= m <= D.n:
-        raise BadLength(f"cycle length must be in [2, {D.n}], got {m}")
+    _require_int(m, "cycle length", 2, D.n, error=BadLength)
     if isinstance(D, BipartiteDigraph) and m % 2:
         return None
     hit = _find_cycle_indices(D, m, {})
@@ -312,9 +328,11 @@ def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
 def cycle_spectrum(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> CycleSpectrum:
     """All achievable cycle lengths with lex-min witnesses.
 
-    Exhaustive, so the order is capped: raises TooLarge above max_n.  In a
-    bipartite host find_cycle_of_length answers every odd length at once.
+    Exhaustive, so the order is capped: raises TooLarge above max_n, and
+    BadParams for a max_n that is not an int.  In a bipartite host
+    find_cycle_of_length answers every odd length at once.
     """
+    _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"spectrum scan capped at order {max_n}, got {D.n}")
     side = D.a if isinstance(D, BipartiteDigraph) else None
@@ -335,7 +353,9 @@ def is_hamiltonian(D: Digraph) -> bool:
 
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:
     """Longest cycle on < n vertices (lex-min witness), or None if no such
-    cycle exists.  Raises TooLarge above max_n."""
+    cycle exists.  Raises TooLarge above max_n, and BadParams for a max_n
+    that is not an int."""
+    _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"longest-cycle scan capped at order {max_n}, got {D.n}")
     for m in range(D.n - 1, 1, -1):  # an odd m in a bipartite host is None at once

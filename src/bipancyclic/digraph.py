@@ -82,15 +82,33 @@ def _as_vertex(v: VertexLike) -> Vertex:
     return v if isinstance(v, Vertex) else Vertex.parse(v)
 
 
-def _require_int(value: object, what: str) -> None:
-    """Raise BadParams unless value is an int and not a bool.
+def _require_int(
+    value: object, what: str, low: int | None = None, high: int | None = None, error=BadParams
+) -> None:
+    """Raise error unless value is an int, not a bool, within [low, high].
 
-    Sizes, margins and random_bipartite's seed pass through here: a bool
+    The one owner of the package's integer argument rule.  Its messages:
+    "<what> must be an int, got <value!r>", then "<what> must be >= <low>,
+    got <value>" when only low is given, or "<what> must be in [<low>,
+    <high>], got <value>" when high is given too.  Sizes, margins, cycle
+    lengths, order caps, seeds and sample indices pass through here: a bool
     side size would build a digraph serialized as ``bipartite a=True``,
     which parse rejects, and a seed "3" would draw the digraph of seed 3.
     """
     if type(value) is not int:
-        raise BadParams(f"{what} must be an int, got {value!r}")
+        raise error(f"{what} must be an int, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise error(f"{what} must be in [{low}, {high}], got {value}")
+    if high is None and low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+
+
+def _require_probability(p: object, error=BadParams) -> None:
+    """Raise error unless p is a number (int or float, not a bool) in [0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise error(f"arc probability must be a number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise error(f"arc probability must be in [0, 1], got {p}")
 
 
 class Degree(NamedTuple):
@@ -418,13 +436,8 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
     ints, so what is left per sample is its digest, three list slices and
     two tuples.
     """
-    _require_int(a, "side size")
-    if a < 1:
-        raise BadParams(f"side size must be >= 1, got {a}")
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise BadParams(f"arc probability must be a number, got {p!r}")
-    if not 0.0 <= p <= 1.0:
-        raise BadParams(f"arc probability must be in [0, 1], got {p}")
+    _require_int(a, "side size", 1)
+    _require_probability(p)
     n, m, count = 2 * a, 2 * a * a, len(seeds)  # order, arc slots per sample, samples
     slots = m * count
     digests = b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m) for seed in seeds)

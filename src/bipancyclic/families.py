@@ -132,9 +132,7 @@ def d6_prime() -> Digraph:
 
 def directed_cycle(a: int) -> BipartiteDigraph:
     """The directed cycle x0 y0 x1 y1 ... x{a-1} y{a-1} back to x0."""
-    _require_int(a, "side size")
-    if a < 1:
-        raise BadParams(f"side size must be >= 1, got {a}")
+    _require_int(a, "side size", 1)
     arcs = []
     for i in range(a):
         arcs.append((_x(i), _y(i)))
@@ -144,9 +142,7 @@ def directed_cycle(a: int) -> BipartiteDigraph:
 
 def complete_bipartite(a: int) -> BipartiteDigraph:
     """Every cross arc in both directions: 2a^2 arcs."""
-    _require_int(a, "side size")
-    if a < 1:
-        raise BadParams(f"side size must be >= 1, got {a}")
+    _require_int(a, "side size", 1)
     arcs = []
     for i in range(a):
         for j in range(a):
@@ -164,9 +160,7 @@ def h_mm(m: int) -> Digraph:
     A-vertex sends and every B-vertex receives at least one link.
     Not Hamiltonian: a cycle visiting both clusters needs a B -> A arc.
     """
-    _require_int(m, "cluster size")
-    if m < 2:
-        raise BadParams(f"cluster size must be >= 2, got {m}")
+    _require_int(m, "cluster size", 2)
     arcs = _complete_cluster(range(m)) + _complete_cluster(range(m, 2 * m))
     arcs += [(_v(i), _v(m + i)) for i in range(m)]
     return Digraph(2 * m, arcs)
@@ -183,9 +177,7 @@ def h_m_m1_1(m: int, mirrored: bool = False) -> Digraph:
     the m vertices of A (plus the link vertex in one orientation) have more
     members than distinct successors available.
     """
-    _require_int(m, "cluster size")
-    if m < 2:
-        raise BadParams(f"cluster size must be >= 2, got {m}")
+    _require_int(m, "cluster size", 2)
     A = list(range(m))
     B = list(range(m, 2 * m - 1))
     a = 2 * m - 1
@@ -212,9 +204,7 @@ def h_2m(m: int, both_link_arcs: bool = False) -> Digraph:
     y -> x when both_link_arcs).  Not Hamiltonian: x -> y is the only arc
     from cluster one to cluster two, so one cluster's interior is skipped.
     """
-    _require_int(m, "cluster size")
-    if m < 2:
-        raise BadParams(f"cluster size must be >= 2, got {m}")
+    _require_int(m, "cluster size", 2)
     A = list(range(m - 1))
     x = m - 1
     B = list(range(m, 2 * m - 1))

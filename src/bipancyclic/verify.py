@@ -52,6 +52,8 @@ from .digraph import (
     Vertex,
     _bits,
     _draw_block,
+    _require_int,
+    _require_probability,
     random_bipartite,
     serialize,
 )
@@ -381,23 +383,11 @@ class SearchConfig:
         if not self.p_values:
             raise BadConfig("need at least one arc probability")
         for a in self.a_values:
-            if type(a) is not int:
-                raise BadConfig(f"side size must be an int, got {a!r}")
-            if not 1 <= a <= 12:
-                raise BadConfig(f"side size must be in [1, 12], got {a}")
+            _require_int(a, "side size", 1, 12, error=BadConfig)
         for p in self.p_values:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise BadConfig(f"arc probability must be a number, got {p!r}")
-            if not 0.0 <= p <= 1.0:
-                raise BadConfig(f"arc probability must be in [0, 1], got {p}")
-        if type(self.samples) is not int:
-            raise BadConfig(f"sample count must be an int, got {self.samples!r}")
-        if not 0 <= self.samples <= MAX_SAMPLES:
-            raise BadConfig(
-                f"sample count must be in [0, {MAX_SAMPLES}], got {self.samples}"
-            )
-        if type(self.seed) is not int:
-            raise BadConfig(f"seed must be an int, got {self.seed!r}")
+            _require_probability(p, error=BadConfig)
+        _require_int(self.samples, "sample count", 0, MAX_SAMPLES, error=BadConfig)
+        _require_int(self.seed, "seed", error=BadConfig)
         # a repeated value would name one cell twice and count it twice
         if len(set(self.a_values)) < len(self.a_values):
             raise BadConfig("side sizes must be distinct")
@@ -527,7 +517,16 @@ def _sample_seeds(seed: int, a: int, p: float, start: int, stop: int) -> list[in
 
 
 def sample_seed(seed: int, a: int, p: float, index: int) -> int:
-    """The per-sample RNG seed; pure, platform-stable."""
+    """The per-sample RNG seed; pure, platform-stable.
+
+    Raises BadParams unless seed is an int, a an int >= 1, p a number in
+    [0, 1] and index an int >= 0: any other value would key a seed that no
+    search draws, or the seed of a different sample.
+    """
+    _require_int(seed, "seed")
+    _require_int(a, "side size", 1)
+    _require_probability(p)
+    _require_int(index, "sample index", 0)
     return _sample_seeds(seed, a, p, index, index + 1)[0]
 
 
@@ -685,10 +684,7 @@ def _block_results(blocks: Iterable[tuple], workers: int) -> Iterator[tuple[tupl
 def run_search(config: SearchConfig, workers: int = 1) -> SearchReport:
     """Run the configured search; counts are independent of worker count."""
     config.validate()
-    if type(workers) is not int:
-        raise BadConfig(f"worker count must be an int, got {workers!r}")
-    if workers < 1:
-        raise BadConfig(f"worker count must be >= 1, got {workers}")
+    _require_int(workers, "worker count", 1, error=BadConfig)
     started = time.perf_counter()
     cells = [(a, p) for a in config.a_values for p in config.p_values]
     starts = range(0, config.samples, _BLOCK)

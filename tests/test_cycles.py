@@ -1,6 +1,7 @@
 """Cycle engine: witnesses, spectra, and oracle agreement."""
 
 import gc
+import re
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from bipancyclic import cycles
 from bipancyclic.cycles import _has_cycle_cover
 from bipancyclic.errors import (
     BadLength,
+    BadParams,
     InvalidCycle,
     PreconditionUnmet,
     TooLarge,
@@ -103,6 +105,16 @@ class TestFindCycle:
             find_cycle_of_length(d8(), 1)
         with pytest.raises(BadLength):
             find_cycle_of_length(d8(), 9)
+
+    @pytest.mark.parametrize(
+        "D", [complete_bipartite(3), Digraph(5, list(permutations([f"v{i}" for i in range(5)], 2)))]
+    )
+    @pytest.mark.parametrize("m", [4.5, 4.0, "4", None, True])
+    def test_non_int_length_is_bad_length(self, D, m):
+        # 4.5 once answered None ("no such cycle") and 4.0 raised TypeError
+        message = f"cycle length must be an int, got {m!r}"
+        with pytest.raises(BadLength, match=f"^{re.escape(message)}$"):
+            find_cycle_of_length(D, m)
 
     def test_general_digraph_odd_cycles(self):
         tri = Digraph(3, [("v0", "v1"), ("v1", "v2"), ("v2", "v0")])
@@ -183,6 +195,14 @@ class TestSpectrum:
             cycle_spectrum(complete_bipartite(13))
         # explicit cap override allows it through on a small digraph
         assert cycle_spectrum(directed_cycle(2), max_n=4).lengths() == (4,)
+
+    @pytest.mark.parametrize("scan", [cycle_spectrum, longest_non_hamiltonian_cycle])
+    @pytest.mark.parametrize("cap", ["24", None, 24.5, True])
+    def test_non_int_order_cap_rejected(self, scan, cap):
+        # True once capped at order 1 and 24.5 passed as a cap
+        message = f"order cap must be an int, got {cap!r}"
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            scan(directed_cycle(2), max_n=cap)
 
     @given(bipartite_digraphs(min_a=1, max_a=3))
     def test_lengths_match_naive(self, D):

@@ -46,12 +46,13 @@ def test_cli_corpus_digest_is_stable(capsys):
         ["search", "--target", "1.9", "--a", "4", "--p", "0.9", "--samples", "2"]
     )
     assert code == 0 and "samples run: 2" in out and err == ""  # runtime line dropped
-    # The exception and twelve family members, 13 commands each, text and
-    # --json.  The digest pins the bytes of certify, cycles and iso-d8; a run
-    # in the same process must not change them.
+    # The exception and twelve family members, 17 commands each, text and
+    # --json.  The digest pins the bytes of certify, cycles (spectrum,
+    # longest non-Hamiltonian and single lengths, one of them out of range)
+    # and iso-d8; a run in the same process must not change them.
     pinned = (
-        "calls: 338\n"
-        "sha256: 83ce7a895f240326f6c45659f7cc00339c2efbee9805551156f26384e00e73ff\n"
+        "calls: 442\n"
+        "sha256: e45098cd8f772609bfddae957d7897f71b9b4c61d0fd37268383d13776dca5e9\n"
     )
     for _ in range(2):
         assert corpus.main(["--per-cell", "0"]) == 0

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -388,6 +389,28 @@ class TestSampling:
         )
         assert config.p_values == (1.0,)
         assert record.sample_seed == sample_seed(config.seed, 4, 1.0, config.samples - 1)
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (("0", 4, 0.5, 3), "seed must be an int, got '0'"),
+            ((True, 4, 0.5, 3), "seed must be an int, got True"),
+            ((0, 4.0, 0.5, 3), "side size must be an int, got 4.0"),
+            ((0, 0, 0.5, 3), "side size must be >= 1, got 0"),
+            ((0, 4, "0.5", 3), "arc probability must be a number, got '0.5'"),
+            ((0, 4, True, 3), "arc probability must be a number, got True"),
+            ((0, 4, 1.5, 3), "arc probability must be in [0, 1], got 1.5"),
+            ((0, 4, 0.5, -1), "sample index must be >= 0, got -1"),
+            ((0, 4, 0.5, 3.0), "sample index must be an int, got 3.0"),
+            ((0, 4, 0.5, True), "sample index must be an int, got True"),
+        ],
+    )
+    def test_sample_coordinates_rejected(self, args, message):
+        # seed "0" once regenerated seed 0's sample, and index -1 a seed no
+        # search draws
+        for regenerate in (sample_seed, sample_digraph):
+            with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+                regenerate(*args)
 
     def test_sample_digraph_reproducible(self):
         D1 = sample_digraph(5, 4, 0.5, 17)

@@ -16,9 +16,10 @@ every random choice drawn from random.Random(SEED):
     its sides, K relabellings as a general digraph and K one-arc mutants;
   - members of the h2m, hmm and hm-m1-1 families, cluster sizes 2..5;
 each run through check --bk 0/1/2, check --two-sided, certify for every
-statement with a verdict, iso-d8 and cycles, in text and --json; plus
-search for every target on a small grid, for each of the K seeds SEED,
-SEED + 1, ....
+statement with a verdict, iso-d8, cycles, cycles --longest-non-hamiltonian
+and cycles --length L for L = 2, the input's order n and n + 1 (out of
+range), in text and --json; plus search for every target on a small grid,
+for each of the K seeds SEED, SEED + 1, ....
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ PER_INPUT = (
     [("check", "--bk", str(k)) for k in range(3)]
     + [("check", "--two-sided")]
     + [("certify", "--theorem", t) for t in CERTIFIABLE]
-    + [("iso-d8",), ("cycles",)]
+    + [("iso-d8",), ("cycles",), ("cycles", "--longest-non-hamiltonian")]
 )
 
 
@@ -66,6 +67,12 @@ def _text(header: str, arcs: list[tuple[str, str]]) -> str:
 def _arcs(text: str) -> tuple[str, list[tuple[str, str]]]:
     header, *lines = text.splitlines()
     return header, [tuple(line.split()) for line in lines]
+
+
+def _order(text: str) -> int:
+    """The order a text's header declares: 2a for bipartite, n for general."""
+    kind, _, size = text.split("\n", 1)[0].partition("=")
+    return int(size) * (2 if kind == "bipartite a" else 1)
 
 
 def inputs(per_cell: int) -> list[str]:
@@ -116,7 +123,9 @@ def inputs(per_cell: int) -> list[str]:
 def calls(per_cell: int):
     """Every (argv, stdin) pair of the corpus, in order."""
     for text in inputs(per_cell):
-        for command in PER_INPUT:
+        n = _order(text)
+        lengths = [("cycles", "--length", str(m)) for m in (2, n, n + 1)]
+        for command in PER_INPUT + lengths:
             for extra in ((), ("--json",)):
                 yield [*command, "-", *extra], text
     grid = ["--a", "4", "5", "--p", "0.5", "0.9", "--samples", "20"]
