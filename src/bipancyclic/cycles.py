@@ -13,8 +13,9 @@ searches or branches that have no completion, so None stays exact:
 
 - component: each start is searched only inside its strong component among
   the vertices not yet used as starts (a cycle through it cannot leave that
-  component); the component does not depend on the length, so a caller
-  asking several lengths of one digraph can have it swept once per start;
+  component); the component depends only on the digraph and the start, so
+  the digraph sweeps it once and keeps it (``Digraph._core``), and every
+  length asked of one digraph, and its strong-connectivity test, share it;
 - cover: a search that must cover every allowed vertex first checks that the
   allowed vertices have a cycle cover (each can take a distinct successor
   among them), and drops branches that strand an allowed vertex;
@@ -279,31 +280,24 @@ def _lex_min_cycle_from(
     return path if found else None
 
 
-def _find_cycle_indices(D: Digraph, m: int, cores: dict[int, int]) -> list[int] | None:
+def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
     """Lex-min cycle of exactly m vertices, or None.
 
-    cores maps a start to its strong component among itself and the later
-    vertices.  That component depends only on D and the start, not on m, so
-    a caller asking several lengths of one D passes one dict to all of them
-    and each component is swept once; it is filled as starts are reached.
+    Each start is searched inside its strong component among itself and the
+    later vertices, read from D's component memo (``Digraph._core``): it
+    depends only on D and the start, not on m, so every length asked of one
+    D sweeps each start's component once.
     """
     out, inn = D._out, D._in
-    rest = (1 << D.n) - 1  # the current start and every later vertex
-    while rest:
-        if rest.bit_count() < m:
-            return None
-        low = rest & -rest
-        start = low.bit_length() - 1
+    for start in range(D.n - m + 1):  # at least m vertices from start on
         # Starts ascend in canonical order and branches only use later
         # vertices, so the first hit is the global lex-min witness.  A cycle
-        # through start stays in start's strong component within rest.
-        if (core := cores.get(start)) is None:
-            core = cores[start] = _reach(out, start, rest) & _reach(inn, start, rest)
+        # through start stays in start's strong component within them.
+        core = D._core(start)
         if core.bit_count() >= m:
             hit = _lex_min_cycle_from(out, inn, start, m, core)
             if hit is not None:
                 return hit
-        rest ^= low
     return None
 
 
@@ -319,7 +313,7 @@ def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
     _require_int(m, "cycle length", 2, D.n, error=BadLength)
     if isinstance(D, BipartiteDigraph) and m % 2:
         return None
-    hit = _find_cycle_indices(D, m, {})
+    hit = _find_cycle_indices(D, m)
     if hit is None:
         return None
     return Cycle(tuple(D._vertex(i) for i in hit))
@@ -348,7 +342,7 @@ def is_hamiltonian(D: Digraph) -> bool:
     """True iff some cycle visits every vertex (needs n >= 2)."""
     if D.n < 2:
         return False
-    return _find_cycle_indices(D, D.n, {}) is not None
+    return _find_cycle_indices(D, D.n) is not None
 
 
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:

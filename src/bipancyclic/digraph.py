@@ -140,9 +140,16 @@ class Digraph:
 
     Instances are immutable: all mutating surface is absent and internals are
     tuples of ints.  Equality is structural (same class, order, arcs).
+
+    The private ``_cores`` dict caches ``_core``, a pure function of the
+    digraph, so it never changes what the digraph is: equality and hashing
+    ignore it.  It maps a start index to the start's strong component among
+    the start and the later vertices, filled the first time a start is
+    asked, so strong connectivity and every cycle search of one digraph
+    share one sweep per start.
     """
 
-    __slots__ = ("n", "_out", "_in")
+    __slots__ = ("n", "_out", "_in", "_cores")
 
     def __init__(self, n: int, arcs: Iterable[tuple[VertexLike, VertexLike]]):
         _require_int(n, "order")
@@ -164,6 +171,7 @@ class Digraph:
             inn[h] |= 1 << t
         self._out = tuple(out)
         self._in = tuple(inn)
+        self._cores: dict[int, int] = {}
 
     # -- vertex <-> index -------------------------------------------------
 
@@ -226,6 +234,22 @@ class Digraph:
 
     # -- connectivity ----------------------------------------------------------
 
+    def _core(self, start: int) -> int:
+        """Bitmask of start's strong component among start and the later
+        vertices: those it reaches and is reached from through them.
+
+        The only component sweep in the package, run once per start and
+        kept in ``_cores``.  A cycle through start that uses no earlier
+        vertex stays inside this component, whatever its length.
+        """
+        core = self._cores.get(start)
+        if core is None:
+            rest = (1 << self.n) - 1 >> start << start
+            core = self._cores[start] = _reach(self._out, start, rest) & _reach(
+                self._in, start, rest
+            )
+        return core
+
     def is_strong(self) -> bool:
         """True iff every vertex reaches every other (n <= 1 counts as strong)."""
         if self.n <= 1:
@@ -233,8 +257,7 @@ class Digraph:
         # a vertex without out-arcs or in-arcs reaches or is reached by none
         if 0 in self._out or 0 in self._in:
             return False
-        full = (1 << self.n) - 1
-        return _reach(self._out, 0, full) == full and _reach(self._in, 0, full) == full
+        return self._core(0) == (1 << self.n) - 1
 
     def is_directed_cycle(self) -> bool:
         """True iff the digraph is a single directed cycle through all vertices."""
@@ -401,7 +424,6 @@ def parse(text: str) -> Digraph:
 # -- random sampling ----------------------------------------------------------
 
 
-_ASCII_BIT = bytes.maketrans(b"\x00\x01", b"01")
 # array typecode per item size in bytes, for reading a block's masks in bulk
 _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
@@ -433,50 +455,51 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
 
     Every step after hashing runs once over the whole block: the samples'
     draws, digits and masks sit end to end in a few byte strings and big
-    ints, so what is left per sample is its digest, three list slices and
-    two tuples.
+    ints.  Each arc slot's digits, one per sample, form one strided slice,
+    which is written straight into the tail's out-field and the head's
+    in-field of every sample at once; what is left per sample is its
+    digest, two list slices and two tuples.
     """
     _require_int(a, "side size", 1)
     _require_probability(p)
     n, m, count = 2 * a, 2 * a * a, len(seeds)  # order, arc slots per sample, samples
-    slots = m * count
     digests = b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m) for seed in seeds)
-    # Each draw gets a 24-bit lane: the draw, then a zero guard byte.  Lane k
-    # of rep * (65535 + threshold) - draws holds 65535 + threshold - U_k,
-    # which lies in [0, 2^17), so no lane borrows from the next, and its
-    # guard bit (bit 16) is set exactly when U_k < threshold.
-    lanes = bytearray(3 * slots)
-    lanes[0::3] = digests[0::2]
-    lanes[1::3] = digests[1::2]
-    rep = int.from_bytes(b"\x01\x00\x00" * slots, "little")
-    threshold = round(p * 65536)
-    hits = (rep * (65535 + threshold) - int.from_bytes(lanes, "little")) & (rep << 16)
-    # One ASCII digit per slot, in slot order, so by_tail holds a run of a
-    # digits per (sample, tail row r): the heads c = 0..a-1 of r's arcs.
-    # Viewed as 2 * count matrices of a x a (one per sample and tail side),
-    # a Fortran-order copy reverses the axes to (c, r', matrix), and a second
-    # one of that as a (a * a) x (2 * count) matrix gives (matrix, c, r'): a
-    # run per (sample, tail side, head column c) of the tails r' on that side.
-    by_tail = hits.to_bytes(3 * slots, "little")[2::3].translate(_ASCII_BIT)
-    by_head = memoryview(
-        memoryview(by_tail).cast("B", (2 * count, a, a)).tobytes("F")
-    ).cast("B", (a * a, 2 * count)).tobytes("F")
-    # Each run becomes one field of the smallest machine word that holds n
-    # bits, with digit j at bit a + j: the out-mask of an x tail, whose heads
-    # are on the y side, and the in-mask of an x head, whose tails are.  The
-    # fields of y tails and the in-masks of y heads then move down by a.
+    # Slot k holds an arc iff U_k < T, where U_k = 256 * hi + lo is its draw
+    # and T = 256 * top + bottom the threshold, that is iff hi < top, or
+    # hi == top and lo < bottom.  Each test is a byte table mapping straight
+    # to ASCII "0"/"1" (top = 256 makes every hi pass the first), and "|" and
+    # "&" of those digits are digits again, so one digit per slot comes out
+    # in slot order: a run of a digits per (sample, tail), heads ascending.
+    top, bottom = divmod(round(p * 65536), 256)
+    below_top = b"1" * top + b"0" * (256 - top)
+    at_top = (b"0" * top + b"1" + b"0" * 255)[:256]
+    below_bottom = b"1" * bottom + b"0" * (256 - bottom)
+    his, los = digests[1::2], digests[0::2]
+    # A bytearray, since a bytes slice written into a bytearray is first
+    # copied into a new one: 7x the cost of each write in a one-sample block.
+    digits = bytearray(
+        (
+            int.from_bytes(his.translate(below_top), "big")
+            | int.from_bytes(his.translate(at_top), "big")
+            & int.from_bytes(los.translate(below_bottom), "big")
+        ).to_bytes(m * count, "big")
+    )
+    # Each sample gets 2n fields of the smallest machine word that holds n
+    # bits, written as binary digits: its n out-masks, then its n in-masks,
+    # both in vertex order.  Bit j of a field is the digit width - 1 - j
+    # into it, and the fields of one sample take stride digits.
     size = next((s for s in sorted(_WORD_CODES) if 8 * s >= n), -(-n // 8))
     width = 8 * size
-    runs = by_tail + by_head
-    fields = bytearray(b"0") * (width * 2 * n * count)
-    for j in range(a):
-        fields[width - 1 - a - j :: width] = runs[j::a]
-    ones, zeros = (((1 << a) - 1) << a).to_bytes(size, "big"), bytes(size)
-    down = int.from_bytes((zeros * a + ones * a) * count + (ones * a + zeros * a) * count, "big")
-    masks = int(fields, 2)
-    moved = masks & down
-    masks ^= moved ^ moved >> a
-    raw = masks.to_bytes(size * 2 * n * count, "big")
+    stride = 2 * n * width
+    fields = bytearray(b"0") * (stride * count)
+    for tail in range(n):
+        first_head = a if tail < a else 0
+        for c in range(a):
+            head = first_head + c
+            arc = digits[tail * a + c :: m]
+            fields[tail * width + width - 1 - head :: stride] = arc
+            fields[(n + head) * width + width - 1 - tail :: stride] = arc
+    raw = int(fields, 2).to_bytes(size * 2 * n * count, "big")
     if size in _WORD_CODES:
         words = array(_WORD_CODES[size], raw)
         if sys.byteorder == "little":
@@ -484,14 +507,11 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
         values = words.tolist()
     else:
         values = [int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size)]
-    # values: count runs of n out-masks, then per sample the in-masks of the
-    # y side followed by those of the x side
     block = []
-    for k in range(0, n * count, n):
+    for k in range(0, 2 * n * count, 2 * n):
         D = BipartiteDigraph.__new__(BipartiteDigraph)
-        D.a, D.n = a, n
+        D.a, D.n, D._cores = a, n, {}
         D._out = tuple(values[k : k + n])
-        i = n * count + k
-        D._in = tuple(values[i + a : i + n] + values[i : i + a])
+        D._in = tuple(values[k + n : k + 2 * n])
         block.append(D)
     return block

@@ -9,7 +9,7 @@ inputs; nothing in the package's runtime paths imports this module.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .digraph import Digraph, Vertex
 
@@ -23,6 +23,28 @@ def _succ(D: Digraph) -> dict[Vertex, list[Vertex]]:
     return out
 
 
+def _cycle_walk(D: Digraph, cap: int) -> Iterator[tuple[Vertex, ...]]:
+    """Yield every simple cycle of at most cap vertices, as a min-first
+    rotation, in naive_cycles' enumeration order."""
+    succ = _succ(D)
+
+    def walk(
+        start: Vertex, path: list[Vertex], on_path: set[Vertex]
+    ) -> Iterator[tuple[Vertex, ...]]:
+        for nxt in succ[path[-1]]:
+            if nxt == start and len(path) >= 2:
+                yield tuple(path)
+            if nxt > start and nxt not in on_path and len(path) < cap:
+                path.append(nxt)
+                on_path.add(nxt)
+                yield from walk(start, path, on_path)
+                on_path.discard(nxt)
+                path.pop()
+
+    for start in sorted(succ):
+        yield from walk(start, [start], {start})
+
+
 def naive_cycles(D: Digraph, max_len: int | None = None) -> list[tuple[Vertex, ...]]:
     """Every simple directed cycle, as min-first rotations.
 
@@ -31,24 +53,7 @@ def naive_cycles(D: Digraph, max_len: int | None = None) -> list[tuple[Vertex, .
     each other, cycles of equal length therefore appear in lexicographic
     order, which is what the engine's witness contract promises to match.
     """
-    succ = _succ(D)
-    cap = max_len if max_len is not None else D.n
-    found: list[tuple[Vertex, ...]] = []
-
-    def walk(start: Vertex, path: list[Vertex], on_path: set[Vertex]) -> None:
-        for nxt in succ[path[-1]]:
-            if nxt == start and len(path) >= 2:
-                found.append(tuple(path))
-            if nxt > start and nxt not in on_path and len(path) < cap:
-                path.append(nxt)
-                on_path.add(nxt)
-                walk(start, path, on_path)
-                on_path.discard(nxt)
-                path.pop()
-
-    for start in sorted(succ):
-        walk(start, [start], {start})
-    return found
+    return list(_cycle_walk(D, max_len if max_len is not None else D.n))
 
 
 def naive_find_cycle(D: Digraph, m: int) -> tuple[Vertex, ...] | None:
@@ -60,7 +65,21 @@ def naive_find_cycle(D: Digraph, m: int) -> tuple[Vertex, ...] | None:
 
 
 def naive_cycle_lengths(D: Digraph) -> tuple[int, ...]:
-    return tuple(sorted({len(c) for c in naive_cycles(D)}))
+    """The lengths of D's simple cycles, ascending.
+
+    Walks the naive enumeration and stops once it has seen every length
+    2..n.  A simple cycle visits each vertex at most once, so none is longer
+    than n, and none is shorter than 2; once all of 2..n are seen, no
+    cycle still to come can add a length, and the stop cannot change the
+    answer.
+    """
+    every = D.n - 1  # the lengths 2..n
+    seen: set[int] = set()
+    for cycle in _cycle_walk(D, D.n):
+        seen.add(len(cycle))
+        if len(seen) == every:
+            break
+    return tuple(sorted(seen))
 
 
 def naive_dominating_pairs(D: Digraph) -> list[tuple[Vertex, Vertex, Vertex]]:

@@ -587,8 +587,8 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     would go to the exhaustive DFS (``_lex_min_cycle_from``), so a missing
     rung is reported only when no such cycle exists.
 
-    The whole evaluation stays on vertex indices.  The lengths share one
-    ``cores`` dict, so each start's strong component is swept once per
+    The whole evaluation stays on vertex indices.  The lengths share D's
+    component memo, so each start's strong component is swept once per
     sample, not once per length.  check_cycle's index core
     (``_check_cycle_indices``) re-checks each cycle that has a unit, once
     per cycle rather than once per unit.  A missing rung gives the claim
@@ -597,9 +597,8 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     out, inn = D._out, D._in
     satisfying = 0
     claims: list[str] = []
-    cores: dict[int, int] = {}
     for b in range(1, D.a):  # cycle length 2b <= 2a - 2 < order
-        hit = _find_cycle_indices(D, 2 * b, cores)
+        hit = _find_cycle_indices(D, 2 * b)
         if hit is None:
             continue
         cmask = 0

@@ -5,7 +5,7 @@ import re
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipancyclic import (
@@ -23,6 +23,8 @@ from bipancyclic import (
     find_cycle_of_length,
     is_hamiltonian,
     longest_non_hamiltonian_cycle,
+    parse,
+    serialize,
 )
 from bipancyclic import cycles
 from bipancyclic.cycles import _has_cycle_cover
@@ -42,6 +44,10 @@ from bipancyclic.naive import (
 )
 
 from test_digraph import bipartite_digraphs, general_digraphs
+
+
+def _complete_digraph(n: int) -> Digraph:
+    return Digraph(n, [(f"v{i}", f"v{j}") for i in range(n) for j in range(n) if i != j])
 
 
 @st.composite
@@ -154,13 +160,12 @@ class TestFindCycle:
     @settings(max_examples=150, deadline=None)
     def test_shared_components_match_fresh_and_naive(self, D, data):
         # A start's strong component among later vertices does not depend on
-        # the length, so one cores dict asked every length in a shuffled
-        # order gives the hit of a fresh dict per length and of the naive
-        # enumeration.
-        cores = {}
+        # the length, so one digraph's component memo asked every length in
+        # a shuffled order gives the hit of a fresh copy's memo per length
+        # and of the naive enumeration.
         for m in data.draw(st.permutations(range(2, D.n + 1))):
-            shared = cycles._find_cycle_indices(D, m, cores)
-            assert shared == cycles._find_cycle_indices(D, m, {})
+            shared = cycles._find_cycle_indices(D, m)
+            assert shared == cycles._find_cycle_indices(parse(serialize(D)), m)
             got = None if shared is None else tuple(D._vertex(i) for i in shared)
             assert got == naive_find_cycle(D, m)
 
@@ -211,6 +216,18 @@ class TestSpectrum:
     @given(st.one_of(general_digraphs(min_n=1, max_n=5), disjoint_unions()))
     def test_lengths_match_naive_general(self, D):
         assert cycle_spectrum(D).lengths() == naive_cycle_lengths(D)
+
+    @given(st.one_of(general_digraphs(max_n=8), bipartite_digraphs(max_a=4)))
+    @example(_complete_digraph(2))
+    @example(_complete_digraph(3))
+    @example(_complete_digraph(5))
+    @example(_complete_digraph(8))
+    @settings(deadline=None)
+    def test_early_stop_lengths_match_full_enumeration(self, D):
+        # naive_cycle_lengths stops once it has seen every length 2..n; the
+        # full enumeration's length set must agree, on complete digraphs too,
+        # where the stop comes soonest.
+        assert naive_cycle_lengths(D) == tuple(sorted({len(c) for c in naive_cycles(D)}))
 
     @pytest.mark.parametrize("both", [False, True])
     @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from bipancyclic import (
     sample_digraph,
     serialize,
 )
-from bipancyclic.digraph import _draw_block
+from bipancyclic.digraph import _draw_block, _reach
 from bipancyclic.errors import (
     BadParams,
     DuplicateArc,
@@ -206,8 +206,26 @@ class TestQueries:
         assert got == naive_dominating_pairs(D)
 
     @given(general_digraphs())
+    @example(Digraph(0, []))
     @example(Digraph(1, []))  # one vertex, no arcs: strong, though its masks are empty
+    @example(Digraph(3, [("v0", "v1"), ("v1", "v0")]))  # v2 has empty masks
+    @example(Digraph(2, [("v0", "v1")]))  # v1 has an empty out-mask
+    @example(BipartiteDigraph(0, []))
+    @example(BipartiteDigraph(2, []))
     def test_is_strong_matches_naive(self, D):
+        assert D.is_strong() == naive_is_strong(D)
+
+    @given(st.one_of(bipartite_digraphs(max_a=6), general_digraphs(max_n=8)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_component_memo_matches_fresh_sweeps(self, D, data):
+        # Starts asked in any order, each twice, give the strong component of
+        # two fresh sweeps through the start and the later vertices, and
+        # strong connectivity read from the filled memo stays exact.
+        for start in data.draw(st.permutations(range(D.n))):
+            rest = (1 << D.n) - 1 >> start << start
+            want = _reach(D._out, start, rest) & _reach(D._in, start, rest)
+            assert D._core(start) == want
+            assert D._core(start) == want
         assert D.is_strong() == naive_is_strong(D)
 
     @given(bipartite_digraphs(min_a=2, max_a=3), st.integers(0, 5))
@@ -404,11 +422,13 @@ class TestRandomBipartite:
 
     @pytest.mark.parametrize("size", [1, 2, 7, 200, 512, 513])
     def test_block_matches_contract(self, size):
-        # negative and wider-than-64-bit seeds, alternating in sign
+        # negative and wider-than-64-bit seeds, alternating in sign; the
+        # thresholds sit on and beside the byte boundaries of the draw test,
+        # and 2a bits overflow a 32-bit word at a = 17 and a 64-bit one at 33
         seeds = [(-1) ** i * (i << 64 | 0x9E3779B97F4A7C15) for i in range(size)]
         checked = sorted({0, 1, size // 2, size - 2, size - 1} & set(range(size)))
-        for a in range(1, 13):
-            for threshold in (0, 1, 32768, 65535, 65536):
+        for a in [*range(1, 13), 17, 33]:
+            for threshold in (0, 1, 255, 256, 257, 32768, 65280, 65535, 65536):
                 p = threshold / 65536
                 block = _draw_block(a, p, seeds)
                 assert len(block) == size

@@ -44,7 +44,7 @@ from bipancyclic import (
 )
 from bipancyclic.errors import BadConfig, BadParams, InvalidCycle, WitnessNotFound
 from bipancyclic.naive import naive_isomorphism
-from bipancyclic import cli, conditions, cycles, verify
+from bipancyclic import cli, conditions, cycles, digraph, verify
 from bipancyclic.verify import MAX_SAMPLES, _certificate
 
 from test_digraph import bipartite_digraphs
@@ -168,6 +168,22 @@ class TestVerdicts:
         assert out.claim == (
             "gap-1 bypass on a longest non-Hamiltonian cycle of length 4, expected 6"
         )
+
+    def test_short_longest_cycle_is_a_3_2_violation(self):
+        # A 2-cycle and six arcless vertices: the longest non-Hamiltonian
+        # cycle has length 2, which lemma 3.2's conclusion must refuse.
+        D = BipartiteDigraph(4, [("x0", "y0"), ("y0", "x0")])
+        out = verify._CONCLUSIONS[Theorem.L3_2](D, None)
+        assert out.kind == "violation"
+        assert out.claim == "no non-Hamiltonian cycle of length >= 4"
+
+    def test_shorter_cycle_is_a_1_8_violation(self):
+        # A 4-cycle and four arcless vertices at a = 4: no 6-cycle and not a
+        # directed cycle, so claim 1.8's conclusion must not take the 4-cycle.
+        D = BipartiteDigraph(4, [("x0", "y0"), ("y0", "x1"), ("x1", "y1"), ("y1", "x0")])
+        out = verify._CONCLUSIONS[Theorem.T1_8](D, None)
+        assert out.kind == "violation"
+        assert out.claim == "no cycle of length 6 and not a directed cycle"
 
     @settings(max_examples=40)
     @given(bipartite_digraphs(min_a=4, max_a=5), st.sampled_from(CERTIFIABLE))
@@ -859,7 +875,7 @@ class TestLemma33Evaluator:
         monkeypatch.setattr(
             verify,
             "_find_cycle_indices",
-            lambda D, m, cores: broken if m == 4 else search(D, m, cores),
+            lambda D, m: broken if m == 4 else search(D, m),
         )
         with pytest.raises(InvalidCycle) as caught:
             verify._eval_l3_3(D)
@@ -871,17 +887,19 @@ class TestLemma33Evaluator:
         # sweep's source lies in its allowed set; a covering search's sweeps
         # start outside it and may repeat across branches, so they are not
         # recorded.  Mask lists are told apart by identity, since out- and
-        # in-masks can be equal.
+        # in-masks can be equal.  Each sample is evaluated as a fresh copy,
+        # since other tests fill the shared samples' component memos.
         calls = []
-        reach = cycles._reach
+        reach = digraph._reach
 
         def recording(masks, src, allowed):
             if allowed >> src & 1:
                 calls.append((id(masks), src, allowed))
             return reach(masks, src, allowed)
 
-        monkeypatch.setattr(cycles, "_reach", recording)
+        monkeypatch.setattr(digraph, "_reach", recording)
         for D in self.SAMPLES:
+            D = parse(serialize(D))
             calls.clear()
             verify._eval_l3_3(D)
             assert calls and len(calls) == len(set(calls)), D
@@ -914,7 +932,7 @@ class TestLemma33Evaluator:
         # vertices from the reported position, is an m-cycle through x; a
         # unit's vertex has every rung settled.
         for b in range(1, D.a):
-            hit = cycles._find_cycle_indices(D, 2 * b, {})
+            hit = cycles._find_cycle_indices(D, 2 * b)
             if hit is None:
                 continue
             C = [D._vertex(i) for i in hit]
@@ -952,6 +970,36 @@ class TestLemma33Evaluator:
         with pytest.raises(WitnessNotFound) as exc:
             cycles_through_vertex(D, C, "x2")
         assert str(exc.value) == got[1][0]
+
+
+def test_claim_1_9_sweeps_each_component_once(monkeypatch):
+    # On the bench grid's claim 1.9 samples, the gates, the premise and every
+    # certificate length share each sample's component memo, so no (sample,
+    # start) component is swept twice.  A component sweep's source lies in
+    # its allowed set, unlike the covering search's and the bypass test's
+    # sweeps.  Every sample stays alive, so no mask tuple's identity is
+    # reused; out- and in-masks are told apart by identity, since they can
+    # be equal.
+    calls = []
+    reach = digraph._reach
+
+    def recording(masks, src, allowed):
+        if allowed >> src & 1:
+            calls.append((id(masks), src, allowed))
+        return reach(masks, src, allowed)
+
+    for module in (digraph, cycles, conditions):
+        monkeypatch.setattr(module, "_reach", recording)
+    row = conditions._search_row(conditions._CLAUSES[Theorem.T1_9])
+    conclude = verify._CONCLUSIONS[Theorem.T1_9]
+    samples, satisfying = [], 0
+    for a in (4, 5, 6):
+        for p in (0.3, 0.5, 0.7):
+            block = verify._draw_block(a, p, verify._sample_seeds(16, a, p, 0, 200))
+            samples.extend(block)
+            satisfying += sum(verify._eval_claim(row, conclude, D)[0] for D in block)
+    assert satisfying > 30
+    assert calls and len(calls) == len(set(calls))
 
 
 class TestViolationFiles:
