@@ -7,9 +7,12 @@ given length the returned rotation starts at the cycle's least vertex and the
 whole vertex sequence is lexicographically least among all cycles of that
 length (rotations of the same cycle included).
 
-The searches are exact: a None result means no witness exists, never that a
-budget ran out.  Three cuts shorten them, and each discards only starts,
-searches or branches that have no completion, so None stays exact:
+Each search is a depth-first walk run as one loop over an explicit stack
+that keeps, per path vertex, the mask of successors not yet tried
+(``_lex_min_cycle_from``).  The searches are exact: a None result means no
+witness exists, never that a budget ran out.  Three cuts shorten them, and
+each discards only starts, searches or branches that have no completion, so
+None stays exact:
 
 - component: each start is searched only inside its strong component among
   the vertices not yet used as starts (a cycle through it cannot leave that
@@ -190,7 +193,8 @@ def _has_cycle_cover(out: Sequence[int], allowed: int) -> bool:
         if not augment(v):
             covered = False
             break
-    # augment refers to itself; break the cycle as _lex_min_cycle_from does.
+    # augment refers to itself; break that cycle so it goes on return, not
+    # with the cycle collector.
     del augment
     return covered
 
@@ -206,8 +210,11 @@ def _lex_min_cycle_from(
     """Least m-cycle starting at ``start`` inside ``allowed`` (start included).
 
     Exploration is depth-first with neighbors in ascending index order, so
-    the first completed cycle is the least one starting at start.  Three cuts
-    drop only branches with no completion, so None still means no such cycle
+    the first completed cycle is the least one starting at start.  It runs
+    as one loop over an explicit stack: each path vertex keeps the mask of
+    its successors not yet tried, a branch that passes the cuts pushes its
+    vertex, and a vertex whose mask runs out is popped.  Three cuts drop
+    only branches with no completion, so None still means no such cycle
     exists:
 
     - component: the caller passes start's strong component as allowed;
@@ -220,33 +227,45 @@ def _lex_min_cycle_from(
       set private to this call, capped at _DEAD_STATE_CAP pairs, and is not
       searched again when another order of the same vertices reaches it.
 
-    The last vertex is taken directly, as the least one that closes the
-    cycle.
+    A branch to w must be able to get back to start within the arcs left
+    (``_reach_within``).  Two masks answer that first: an arc w -> start,
+    or arcs w -> v -> start through a free v.  Wherever the test runs at
+    least three arcs are left, so either return fits and the sweep would
+    say yes too: the masks save sweeps but change no prune.  The last two
+    vertices are taken directly: each w in order, then the least vertex
+    that closes the cycle from it; m == 2 is that one mask at start.
     """
     require_cover = allowed.bit_count() == m
     if require_cover and not _has_cycle_cover(out, allowed):
         return None
     start_bit = 1 << start
     pool = allowed & ~start_bit
+    back = inn[start] & pool  # the vertices with an arc back to start
+    if m == 2:
+        close = out[start] & back
+        return [start, (close & -close).bit_length() - 1] if close else None
     path = [start]
+    cands = [out[start] & pool]  # each path vertex's successors not yet tried
     used = start_bit
     dead: set[int] = set()  # visited set << shift | end vertex
     shift = allowed.bit_length()
-
-    def extend() -> bool:
-        nonlocal used
-        u = path[-1]
+    while cands:
         depth = len(path)
         remaining = m - depth  # vertices still to add before closing
-        cand = out[u] & pool & ~used
-        if remaining == 1:
-            close = cand & inn[start]
-            if close:
-                path.append((close & -close).bit_length() - 1)
-            return bool(close)
+        cand = cands[-1]
+        if remaining == 2:
+            last = pool & ~used & back
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                w = low.bit_length() - 1
+                close = out[w] & last & ~low
+                if close:
+                    return path + [w, (close & -close).bit_length() - 1]
         # A state is worth remembering once two interior vertices could have
-        # come in either order, and while it still branches.
-        memo = depth >= 2 and remaining > 2
+        # come in either order; the last two vertices, chosen above, never are
+        # remembered.
+        memo = depth >= 2
         while cand:
             low = cand & -cand
             cand ^= low
@@ -256,28 +275,27 @@ def _lex_min_cycle_from(
                 if key in dead:
                     continue
             free = pool & ~used & ~low
-            if not _reach_within(out, w, start_bit, free, remaining):
+            if not out[w] & (start_bit | free & back) and not _reach_within(
+                out, w, start_bit, free, remaining
+            ):
                 continue
             if require_cover:
                 if _reach(out, w, free) & free != free:
                     continue
                 if _reach(inn, start, free) & free != free:
                     continue
+            cands[-1] = cand
+            cands.append(out[w] & free)
             path.append(w)
             used |= low
-            if extend():
-                return True
-            path.pop()
-            used &= ~low
-            if memo and len(dead) < _DEAD_STATE_CAP:
-                dead.add(key)
-        return False
-
-    found = extend()
-    # extend refers to itself, so without this the dead set would wait for
-    # the cycle collector instead of going on return.
-    del extend
-    return path if found else None
+            break
+        else:
+            cands.pop()
+            w = path.pop()
+            if depth >= 3 and len(dead) < _DEAD_STATE_CAP:  # the parent's memo
+                dead.add(used << shift | w)
+            used ^= 1 << w
+    return None
 
 
 def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:

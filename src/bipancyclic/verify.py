@@ -24,8 +24,9 @@ import os
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, permutations
+from operator import and_, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -551,25 +552,19 @@ def _eval_claim(row: _Row, conclude: _Conclude, D: BipartiteDigraph) -> tuple[in
     return 1, []
 
 
-def _segment_rungs(
-    out: Sequence[int], inn: Sequence[int], x: int, hit: list[int]
-) -> dict[int, int]:
-    """Lemma 3.3's rungs that x closes with one stretch of the cycle ``hit``.
+def _rung_masks(out: Sequence[int], inn: Sequence[int], hit: list[int]) -> list[int]:
+    """Lemma 3.3's rungs that one stretch of the cycle ``hit`` closes, for
+    every vertex at once.
 
-    Maps each even m in 2..len(hit) with a cycle x -> hit[i] -> ... ->
-    hit[i + m - 2] -> x (positions mod len(hit)) to the least such i.  heads
-    holds the positions x sends an arc to, tails the positions that send one
-    to x; doubling tails makes its shift by m - 2 wrap around the cycle.
+    Entry j is rung m = 2j + 2's vertex mask: bit x is set iff x -> hit[i]
+    and hit[i + m - 2] -> x for some position i (mod len(hit)), which is the
+    m-cycle x -> hit[i] -> ... -> hit[i + m - 2] -> x.  heads[i] holds the
+    vertices with an arc to hit[i], tails[i] those with an arc from it;
+    tails is doubled so a slice of it wraps around the cycle.
     """
-    heads = tails = 0
-    for i, c in enumerate(hit):
-        heads |= (out[x] >> c & 1) << i
-        tails |= (inn[x] >> c & 1) << i
-    tails |= tails << len(hit)
-    return {
-        m: (both & -both).bit_length() - 1
-        for m in range(2, len(hit) + 1, 2) if (both := heads & tails >> m - 2)
-    }
+    heads = [inn[c] for c in hit]
+    tails = [out[c] for c in hit] * 2
+    return [reduce(or_, map(and_, heads, tails[k:])) for k in range(0, len(hit), 2)]
 
 
 def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
@@ -577,15 +572,18 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     2b-cycle C and any vertex x off it with >= b + 1 arcs to it form one
     unit, whose ladder of cycles through x inside V(C) + x must reach 2b.
 
-    Each rung m is first settled by a segment (``_segment_rungs``): x, then
-    m - 1 consecutive vertices of C, back to x, which exists exactly when
-    some position x sends an arc to is m - 2 steps before one that sends an
-    arc to x.  That settles every rung of every unit.  x lies on one side,
-    so its arcs meet only the b positions of C on the other side, and a shift
-    by the even m - 2 permutes those positions; heads and a shifted tails
-    have more than b members between them, so they meet.  A rung left open
-    would go to the exhaustive DFS (``_lex_min_cycle_from``), so a missing
-    rung is reported only when no such cycle exists.
+    Each rung m is first settled by a segment: x, then m - 1 consecutive
+    vertices of C, back to x, which exists exactly when some position x
+    sends an arc to is m - 2 steps before one that sends an arc to x.
+    ``_rung_masks`` settles each rung for every vertex at once, as one mask
+    per rung and cycle, so a unit costs one bit test when all its rungs are
+    settled.  That settles every rung of every unit.  x lies on one side,
+    so its arcs meet only the b positions of C on the other side, and a
+    shift by the even m - 2 permutes those positions; the positions x sends
+    to and the shifted positions that send to x have more than b members
+    between them, so they meet.  A rung left open would go to the
+    exhaustive DFS (``_lex_min_cycle_from``), so a missing rung is reported
+    only when no such cycle exists.
 
     The whole evaluation stays on vertex indices.  The lengths share D's
     component memo, so each start's strong component is swept once per
@@ -614,11 +612,14 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
             continue
         _check_cycle_indices(D, hit)
         satisfying += len(units)
+        rungs = _rung_masks(out, inn, hit)
+        settled = reduce(and_, rungs)
         for x in units:
-            settled = _segment_rungs(out, inn, x, hit)
+            if settled >> x & 1:
+                continue
             allowed = cmask | 1 << x
-            for m in range(2, 2 * b + 1, 2):
-                if m not in settled and _lex_min_cycle_from(out, inn, x, m, allowed) is None:
+            for m, rung in zip(range(2, 2 * b + 1, 2), rungs):
+                if not rung >> x & 1 and _lex_min_cycle_from(out, inn, x, m, allowed) is None:
                     claims.append(
                         f"no cycle of length {m} through {D._vertex(x)}"
                         " within the cycle vertices"

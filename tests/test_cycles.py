@@ -269,6 +269,19 @@ SAME_SET_ARCS = [
 ]
 
 
+def least_from(D: Digraph, found, start: int, m: int, allowed: int) -> list[int] | None:
+    """The least m-cycle inside allowed, as indices rotated to begin at
+    start, among the naive oracle's cycles, or None."""
+    best = None
+    for cycle in found:
+        idx = [D._index(v) for v in cycle]
+        if len(idx) == m and start in idx and all(allowed >> i & 1 for i in idx):
+            k = idx.index(start)
+            idx = idx[k:] + idx[:k]
+            best = idx if best is None else min(best, idx)
+    return best
+
+
 class TestDeadStates:
     @pytest.mark.parametrize("cap", [0, 1])
     @pytest.mark.parametrize("D", list(LINKED_CLUSTERS.values()), ids=list(LINKED_CLUSTERS))
@@ -291,6 +304,27 @@ class TestDeadStates:
             got = [find_cycle_of_length(D, m) for m in range(2, D.n + 1)]
         for m, cycle in enumerate(got, start=2):
             assert (None if cycle is None else cycle.vertices) == naive_find_cycle(D, m)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    @given(
+        st.one_of(bipartite_digraphs(min_a=1, max_a=4), general_digraphs(min_n=2, max_n=7)),
+        st.data(),
+    )
+    def test_cap_keeps_two_cycles_and_covering_searches(self, cap, D, data):
+        # The engine called directly at m == 2 (one mask) and at the
+        # covering length (cover cuts and dead states together), from every
+        # start of the whole vertex set or of a drawn subset.
+        full = (1 << D.n) - 1
+        allowed = data.draw(st.one_of(st.just(full), st.integers(1, full)), label="allowed")
+        found = naive_cycles(D)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_DEAD_STATE_CAP", cap)
+            for start in range(D.n):
+                if not allowed >> start & 1:
+                    continue
+                for m in sorted({2, allowed.bit_count()} - {1}):
+                    got = cycles._lex_min_cycle_from(D._out, D._in, start, m, allowed)
+                    assert got == least_from(D, found, start, m, allowed)
 
     @pytest.mark.parametrize(
         "D, where",
@@ -327,7 +361,23 @@ class TestDeadStates:
 
         monkeypatch.setattr(cycles, "_reach_within", counted)
         cycle_spectrum(h_2m(8))
-        assert calls < 40_000  # 278,683 when every state is searched afresh
+        assert calls < 40_000  # 79,884 when every state is searched afresh
+
+    @given(
+        st.one_of(bipartite_digraphs(min_a=1, max_a=5), general_digraphs(min_n=1, max_n=10)),
+        st.data(),
+    )
+    def test_inline_returns_imply_reach_within(self, D, data):
+        # The DFS skips the depth-bounded sweep when w -> start or w -> v ->
+        # start through a free v; with two or more arcs left either return
+        # is short enough, so the sweep would say yes and no prune changes.
+        w = data.draw(st.integers(0, D.n - 1), label="w")
+        start = data.draw(st.integers(0, D.n - 1), label="start")
+        free = data.draw(st.integers(0, (1 << D.n) - 1), label="free")
+        steps = data.draw(st.integers(2, D.n + 1), label="steps")
+        start_bit = 1 << start
+        if D._out[w] & (start_bit | free & D._in[start]):
+            assert cycles._reach_within(D._out, w, start_bit, free, steps)
 
     def test_dead_states_freed_on_return(self):
         D = h_2m(6)

@@ -185,6 +185,26 @@ class TestVerdicts:
         assert out.kind == "violation"
         assert out.claim == "no cycle of length 6 and not a directed cycle"
 
+    def test_six_cycle_at_a_4_violates_1_7_1_9_1_10(self):
+        # A directed 6-cycle with x3 and y3 arcless, at a = 4: no 2-cycle and
+        # no Hamiltonian cycle, and not the 8-vertex exception, so claim
+        # 1.9's certificate, claim 1.7 and claim 1.10 must each refuse it.
+        ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
+        D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
+        premise = find_cycle_of_length(D, 6)
+        assert [str(v) for v in premise.vertices] == ring
+        outs = [
+            verify._certificate(D, 6, premise),
+            verify._conclude_1_7(D),
+            verify._conclude_1_10(D),
+        ]
+        assert [out.kind for out in outs] == ["violation"] * 3
+        assert [out.claim for out in outs] == [
+            "no cycle of length 2 (even lengths 2..6 claimed)",
+            "not Hamiltonian and not the 8-vertex exception",
+            "no cycle of length 2 (even lengths 2..8 claimed); not the 8-vertex exception",
+        ]
+
     @settings(max_examples=40)
     @given(bipartite_digraphs(min_a=4, max_a=5), st.sampled_from(CERTIFIABLE))
     def test_verdicts_total_and_sound(self, D, theorem):
@@ -819,6 +839,11 @@ def _eval_l3_3_public(D):
     return satisfying, claims
 
 
+def _no_rungs(out, inn, hit):
+    """A rung-mask stand-in that settles no rung, so every rung takes the DFS."""
+    return [0] * (len(hit) // 2)
+
+
 class TestLemma33Evaluator:
     SAMPLES = [
         sample_digraph(5, a, p, i)
@@ -921,32 +946,44 @@ class TestLemma33Evaluator:
         assert calls == []
 
     def test_fallback_alone_matches_public_rebuild(self, monkeypatch):
-        monkeypatch.setattr(verify, "_segment_rungs", lambda out, inn, x, hit: {})
+        monkeypatch.setattr(verify, "_rung_masks", _no_rungs)
         for D in self.SAMPLES:
             assert verify._eval_l3_3(D) == _eval_l3_3_public(D)
 
     @given(bipartite_digraphs(min_a=2, max_a=6))
     @settings(max_examples=150, deadline=None)
     def test_settled_segments_are_cycles(self, D):
-        # Each settled rung, rebuilt as x followed by m - 1 consecutive cycle
-        # vertices from the reported position, is an m-cycle through x; a
-        # unit's vertex has every rung settled.
+        # An (x, m) bit is set exactly when some position i has x -> C[i]
+        # and C[i + m - 2] -> x; the segment from the least such i, rebuilt
+        # as x followed by m - 1 consecutive cycle vertices, is an m-cycle
+        # through x; a unit's vertex has every rung settled.
+        arcs = set(D.arcs())
         for b in range(1, D.a):
             hit = cycles._find_cycle_indices(D, 2 * b)
             if hit is None:
                 continue
             C = [D._vertex(i) for i in hit]
+            rungs = verify._rung_masks(D._out, D._in, hit)
+            assert len(rungs) == b
             for x in D.vertices():
                 if x in C:
                     continue
                 xi = D._index(x)
-                settled = verify._segment_rungs(D._out, D._in, xi, hit)
-                for m, i in settled.items():
-                    segment = [C[(i + k) % (2 * b)] for k in range(m - 1)]
-                    cycle = check_cycle(D, [x, *segment])
-                    assert cycle.length == m and x in cycle.vertices
+                settled = []
+                for m, rung in zip(range(2, 2 * b + 1, 2), rungs):
+                    closing = [
+                        i
+                        for i in range(2 * b)
+                        if (x, C[i]) in arcs and (C[(i + m - 2) % (2 * b)], x) in arcs
+                    ]
+                    assert bool(rung >> xi & 1) == bool(closing)
+                    if closing:
+                        settled.append(m)
+                        segment = [C[(closing[0] + k) % (2 * b)] for k in range(m - 1)]
+                        cycle = check_cycle(D, [x, *segment])
+                        assert cycle.length == m and x in cycle.vertices
                 if D.restricted_degree(x, C) > b:
-                    assert sorted(settled) == list(range(2, 2 * b + 1, 2))
+                    assert settled == list(range(2, 2 * b + 1, 2))
 
     def test_missing_rung_claim_text(self, monkeypatch):
         # With no rung settled by a segment and a DFS that loses every rung
@@ -959,7 +996,7 @@ class TestLemma33Evaluator:
         def losing(out, inn, x, m, allowed):
             return None if m >= 4 else dfs(out, inn, x, m, allowed)
 
-        monkeypatch.setattr(verify, "_segment_rungs", lambda out, inn, x, hit: {})
+        monkeypatch.setattr(verify, "_rung_masks", _no_rungs)
         monkeypatch.setattr(verify, "_lex_min_cycle_from", losing)
         got = verify._eval_l3_3(D)
         # units: the 2-cycle with 6 off-cycle vertices, the 4- and 6-cycles
