@@ -7,24 +7,41 @@ given length the returned rotation starts at the cycle's least vertex and the
 whole vertex sequence is lexicographically least among all cycles of that
 length (rotations of the same cycle included).
 
-Each search is a depth-first walk run as one loop over an explicit stack
-that keeps, per path vertex, the mask of successors not yet tried
-(``_lex_min_cycle_from``).  The searches are exact: a None result means no
-witness exists, never that a budget ran out.  Three cuts shorten them, and
-each discards only starts, searches or branches that have no completion, so
-None stays exact:
+Every search takes a set of lengths: a single length for
+``find_cycle_of_length`` and ``is_hamiltonian``, every length at once for
+``cycle_spectrum`` and ``longest_non_hamiltonian_cycle``
+(``_find_cycles``).  Each start runs one depth-first walk for all of its
+pending lengths, as one loop over an explicit stack that keeps, per path
+vertex, the mask of successors not yet tried (``_lex_min_cycle_from``).
+Why each witness is lex-least and each absence exact (None, or a length
+left out, means no such cycle exists, never that a budget ran out):
+
+- the walk visits paths from its start in preorder, which is lexicographic
+  order, so the first closing of a given length is that length's least
+  cycle from this start;
+- a branch is cut only when no pending length can complete it;
+- a dead state stays dead, because pending lengths are only ever removed;
+- the cover cut runs only in a walk whose sole length is the covering one;
+- starts ascend, so each length's first start with a hit gives its global
+  least witness, and the length is dropped from the later starts.
+
+The cuts, each of which discards only starts, walks or branches with no
+completion of a pending length:
 
 - component: each start is searched only inside its strong component among
   the vertices not yet used as starts (a cycle through it cannot leave that
   component); the component depends only on the digraph and the start, so
   the digraph sweeps it once and keeps it (``Digraph._core``), and every
   length asked of one digraph, and its strong-connectivity test, share it;
-- cover: a search that must cover every allowed vertex first checks that the
+- return bound: a branch must be able to get back to the start within the
+  arcs the longest pending length leaves;
+- cover: a walk that must cover every allowed vertex first checks that the
   allowed vertices have a cycle cover (each can take a distinct successor
   among them), and drops branches that strand an allowed vertex;
 - dead state: a branch's remaining search depends only on its visited set
-  and end vertex, so a (visited set, end vertex) pair whose subtree failed is
-  not searched again when another order of the same vertices reaches it.
+  and end vertex, so a (visited set, end vertex) pair whose subtree
+  completed no pending length is not searched again when another order of
+  the same vertices reaches it.
 
 Order is capped only where a full spectrum or longest-cycle scan is
 requested (TooLarge above ``max_n``).
@@ -205,66 +222,95 @@ _DEAD_STATE_CAP = 1 << 18
 
 
 def _lex_min_cycle_from(
-    out: Sequence[int], inn: Sequence[int], start: int, m: int, allowed: int
-) -> list[int] | None:
-    """Least m-cycle starting at ``start`` inside ``allowed`` (start included).
+    out: Sequence[int], inn: Sequence[int], start: int, lengths: int, allowed: int
+) -> dict[int, list[int]]:
+    """Least cycle starting at ``start`` inside ``allowed`` (start included)
+    of each length in the mask ``lengths`` (bit m asks for length m), by
+    length; a length with no such cycle is left out.
 
     Exploration is depth-first with neighbors in ascending index order, so
-    the first completed cycle is the least one starting at start.  It runs
-    as one loop over an explicit stack: each path vertex keeps the mask of
-    its successors not yet tried, a branch that passes the cuts pushes its
-    vertex, and a vertex whose mask runs out is popped.  Three cuts drop
-    only branches with no completion, so None still means no such cycle
-    exists:
+    paths from start are met in lexicographic order (preorder), and the first
+    cycle of a given length that closes is that length's least one from
+    start.  One walk serves every length asked: it records each pending
+    length's first closing and drops the length, and stops once none is left.
+    It runs as one loop over an explicit stack: each path vertex keeps the
+    mask of its successors not yet tried, a branch that passes the cuts
+    pushes its vertex, and a vertex whose mask runs out is popped.  The cuts
+    drop only branches that no pending length can complete, so an absent
+    length is absent:
 
     - component: the caller passes start's strong component as allowed;
-    - cover: a covering search (m equals the number of allowed vertices)
-      returns None at once when the allowed vertices have no cycle cover,
-      and cuts branches that strand an allowed vertex;
-    - dead state: start, m and allowed are fixed per call, so the rest of a
+    - return bound: a branch to w must be able to get back to start within
+      the arcs the longest pending length leaves (``_reach_within``);
+    - cover: a walk whose sole length is the covering one (the number of
+      allowed vertices) returns at once when the allowed vertices have no
+      cycle cover, and cuts branches that strand an allowed vertex.  A
+      shorter length may leave vertices out, so the cut runs only in such a
+      walk: a covering length asked with others is searched first, in a walk
+      of its own;
+    - dead state: start and allowed are fixed per call, so the rest of a
       branch depends only on its visited set and end vertex (Held and Karp's
-      subset-and-endpoint state).  A pair whose subtree failed goes into a
-      set private to this call, capped at _DEAD_STATE_CAP pairs, and is not
-      searched again when another order of the same vertices reaches it.
+      subset-and-endpoint state).  A pair whose subtree completed no pending
+      length goes into a set private to this call, capped at
+      _DEAD_STATE_CAP pairs, and is not searched again when another order of
+      the same vertices reaches it.  Pending lengths are only ever removed,
+      so a dead pair stays dead for the rest of the walk.
 
-    A branch to w must be able to get back to start within the arcs left
-    (``_reach_within``).  Two masks answer that first: an arc w -> start,
-    or arcs w -> v -> start through a free v.  Wherever the test runs at
-    least three arcs are left, so either return fits and the sweep would
-    say yes too: the masks save sweeps but change no prune.  The last two
-    vertices are taken directly: each w in order, then the least vertex
-    that closes the cycle from it; m == 2 is that one mask at start.
+    The last two vertices of a length are taken directly from the path
+    vertex before them (``_close_two``): each successor w in order, then the
+    least vertex that closes the cycle from it.  The longest pending length
+    takes them where that vertex is reached with two arcs left, and no
+    branch is pushed from there; a shorter length takes them when that
+    vertex is pushed.  A 2-cycle is one mask at start.  Two masks answer the
+    return bound before any sweep: an arc w -> start, or arcs
+    w -> v -> start through a free v.  A branch is pushed only for a
+    pending length at least three arcs past it, so either return fits and
+    the sweep would say yes too: the masks save sweeps but change no prune.
     """
-    require_cover = allowed.bit_count() == m
+    size = allowed.bit_count()
+    found: dict[int, list[int]] = {}
+    if lengths >> size & 1 and lengths != 1 << size:  # the covering length alone first
+        found = _lex_min_cycle_from(out, inn, start, 1 << size, allowed)
+        lengths ^= 1 << size
+    require_cover = lengths == 1 << size
     if require_cover and not _has_cycle_cover(out, allowed):
-        return None
+        return found
     start_bit = 1 << start
     pool = allowed & ~start_bit
     back = inn[start] & pool  # the vertices with an arc back to start
-    if m == 2:
-        close = out[start] & back
-        return [start, (close & -close).bit_length() - 1] if close else None
     path = [start]
     cands = [out[start] & pool]  # each path vertex's successors not yet tried
+    if lengths & 4 and (close := cands[0] & back):
+        found[2] = [start, (close & -close).bit_length() - 1]
+        lengths ^= 4
+    if not lengths:
+        return found
+    top = lengths.bit_length() - 1  # the longest pending length
+    below = lengths ^ 1 << top  # the shorter ones
+    if below & 8 and (hit := _close_two(out, cands[0], back)):
+        found[3] = path + hit
+        lengths ^= 8
+        below ^= 8
     used = start_bit
     dead: set[int] = set()  # visited set << shift | end vertex
     shift = allowed.bit_length()
     while cands:
         depth = len(path)
-        remaining = m - depth  # vertices still to add before closing
+        remaining = top - depth  # arcs from a new vertex back to start
         cand = cands[-1]
-        if remaining == 2:
-            last = pool & ~used & back
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                w = low.bit_length() - 1
-                close = out[w] & last & ~low
-                if close:
-                    return path + [w, (close & -close).bit_length() - 1]
+        if remaining < 3:
+            # The longest pending length closes two vertices on from here;
+            # the shorter ones closed when their vertices were pushed.
+            if remaining == 2 and (hit := _close_two(out, cand, pool & ~used & back)):
+                found[top] = path + hit
+                lengths ^= 1 << top
+                if not lengths:
+                    return found
+                top = lengths.bit_length() - 1
+                below = lengths ^ 1 << top
+            cand = 0
         # A state is worth remembering once two interior vertices could have
-        # come in either order; the last two vertices, chosen above, never are
-        # remembered.
+        # come in either order.
         memo = depth >= 2
         while cand:
             low = cand & -cand
@@ -288,6 +334,13 @@ def _lex_min_cycle_from(
             cands.append(out[w] & free)
             path.append(w)
             used |= low
+            # a shorter length that closes two vertices past w
+            if below and below >> depth + 3 & 1 and (
+                hit := _close_two(out, cands[-1], free & back)
+            ):
+                found[depth + 3] = path + hit
+                lengths ^= 1 << depth + 3
+                below ^= 1 << depth + 3
             break
         else:
             cands.pop()
@@ -295,28 +348,58 @@ def _lex_min_cycle_from(
             if depth >= 3 and len(dead) < _DEAD_STATE_CAP:  # the parent's memo
                 dead.add(used << shift | w)
             used ^= 1 << w
+    return found
+
+
+def _close_two(out: Sequence[int], cand: int, last: int) -> list[int] | None:
+    """[w, v] for the least w in cand, then the least v in last other than w
+    with an arc w -> v, or None."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        close = out[low.bit_length() - 1] & last & ~low
+        if close:
+            return [low.bit_length() - 1, (close & -close).bit_length() - 1]
     return None
 
 
-def _find_cycle_indices(D: Digraph, m: int) -> list[int] | None:
-    """Lex-min cycle of exactly m vertices, or None.
+def _find_cycles(D: Digraph, lengths: int) -> dict[int, list[int]]:
+    """Lex-min cycle of each length in the mask ``lengths`` (bit m asks for
+    length m) that D has, by length; an absent length is left out.
 
-    Each start is searched inside its strong component among itself and the
-    later vertices, read from D's component memo (``Digraph._core``): it
-    depends only on D and the start, not on m, so every length asked of one
-    D sweeps each start's component once.
+    Starts ascend in canonical order and each walk only uses later vertices,
+    so a length's first start with a hit gives its global lex-min witness,
+    and the length is then dropped.  Each start runs one walk for all its
+    pending lengths that fit inside its strong component among itself and
+    the later vertices (a cycle through start cannot leave it), read from
+    D's component memo (``Digraph._core``): the component depends only on D
+    and the start, so every length asked of one D sweeps it once.
     """
-    out, inn = D._out, D._in
-    for start in range(D.n - m + 1):  # at least m vertices from start on
-        # Starts ascend in canonical order and branches only use later
-        # vertices, so the first hit is the global lex-min witness.  A cycle
-        # through start stays in start's strong component within them.
+    out, inn, n = D._out, D._in, D.n
+    found: dict[int, list[int]] = {}
+    for start in range(n - 1):
+        if not lengths & (2 << n - start) - 1:
+            break  # no pending length fits in the vertices from start on
         core = D._core(start)
-        if core.bit_count() >= m:
-            hit = _lex_min_cycle_from(out, inn, start, m, core)
-            if hit is not None:
-                return hit
-    return None
+        fits = lengths & (2 << core.bit_count()) - 1
+        if fits:
+            for m, hit in _lex_min_cycle_from(out, inn, start, fits, core).items():
+                found[m] = hit
+                lengths ^= 1 << m
+    return found
+
+
+def _length_mask(D: Digraph, top: int) -> int:
+    """The lengths 2..top a cycle of D can have, as a mask (bit m for length
+    m): in a bipartite host only the even ones."""
+    mask = (2 << top) - 1 & ~3
+    if isinstance(D, BipartiteDigraph):
+        mask &= int("01" * (top // 2 + 1), 2)  # the even bits 0..top
+    return mask
+
+
+def _as_cycle(D: Digraph, hit: list[int]) -> Cycle:
+    return Cycle(tuple(D._vertex(i) for i in hit))
 
 
 # -- public operations -----------------------------------------------------------
@@ -331,50 +414,44 @@ def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
     _require_int(m, "cycle length", 2, D.n, error=BadLength)
     if isinstance(D, BipartiteDigraph) and m % 2:
         return None
-    hit = _find_cycle_indices(D, m)
-    if hit is None:
-        return None
-    return Cycle(tuple(D._vertex(i) for i in hit))
+    hit = _find_cycles(D, 1 << m).get(m)
+    return None if hit is None else Cycle(tuple(D._vertex(i) for i in hit))
 
 
 def cycle_spectrum(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> CycleSpectrum:
     """All achievable cycle lengths with lex-min witnesses.
 
     Exhaustive, so the order is capped: raises TooLarge above max_n, and
-    BadParams for a max_n that is not an int.  In a bipartite host
-    find_cycle_of_length answers every odd length at once.
+    BadParams for a max_n that is not an int.  Every length is searched in
+    one pass over the starts (``_find_cycles``); a bipartite host asks for
+    no odd length.
     """
     _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"spectrum scan capped at order {max_n}, got {D.n}")
     side = D.a if isinstance(D, BipartiteDigraph) else None
-    witnesses = []
-    for m in range(2, D.n + 1):
-        cycle = find_cycle_of_length(D, m)
-        if cycle is not None:
-            witnesses.append((m, cycle))
-    return CycleSpectrum(order=D.n, side_size=side, witnesses=tuple(witnesses))
+    found = _find_cycles(D, _length_mask(D, D.n))
+    witnesses = tuple((m, _as_cycle(D, found[m])) for m in sorted(found))
+    return CycleSpectrum(order=D.n, side_size=side, witnesses=witnesses)
 
 
 def is_hamiltonian(D: Digraph) -> bool:
     """True iff some cycle visits every vertex (needs n >= 2)."""
     if D.n < 2:
         return False
-    return _find_cycle_indices(D, D.n) is not None
+    return D.n in _find_cycles(D, 1 << D.n)
 
 
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:
     """Longest cycle on < n vertices (lex-min witness), or None if no such
-    cycle exists.  Raises TooLarge above max_n, and BadParams for a max_n
-    that is not an int."""
+    cycle exists: the largest length one pass over the starts finds below n.
+    Raises TooLarge above max_n, and BadParams for a max_n that is not an
+    int."""
     _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"longest-cycle scan capped at order {max_n}, got {D.n}")
-    for m in range(D.n - 1, 1, -1):  # an odd m in a bipartite host is None at once
-        cycle = find_cycle_of_length(D, m)
-        if cycle is not None:
-            return cycle
-    return None
+    found = _find_cycles(D, _length_mask(D, D.n - 1))
+    return _as_cycle(D, found[max(found)]) if found else None
 
 
 def cycles_through_vertex(
@@ -409,7 +486,7 @@ def cycles_through_vertex(
         allowed |= 1 << D._index(v)
     found: dict[int, Cycle] = {}
     for m in range(2, allowed.bit_count(), 2):
-        hit = _lex_min_cycle_from(D._out, D._in, xi, m, allowed)
+        hit = _lex_min_cycle_from(D._out, D._in, xi, 1 << m, allowed).get(m)
         if hit is None:
             raise WitnessNotFound(
                 f"no cycle of length {m} through {xv} within the cycle vertices"

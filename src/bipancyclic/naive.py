@@ -82,6 +82,45 @@ def naive_cycle_lengths(D: Digraph) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+def naive_cycle_lengths_dp(D: Digraph) -> tuple[int, ...]:
+    """The lengths of D's simple cycles, ascending, decided by a subset DP
+    (Bellman 1962; Held and Karp 1962) rather than by listing cycles.
+
+    Each cycle is counted at its least vertex s.  For each set S of
+    vertices above s, ends[S] holds the vertices of S at which some path
+    from s through exactly s and S can end: a vertex w of S is such an end
+    iff S is {w} and s -> w, or some end of S - {w} has an arc to w.  A set
+    is built from its subsets one vertex smaller, so each (S, w) state is
+    decided once and no path is followed.  Length |S| + 1 exists iff some
+    end of S has an arc back to s.  Sets are ints over the positions of the
+    vertices above s in canonical order; nothing is shared with the
+    engine's masks.
+    """
+    order = sorted(D.vertices())
+    pos = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    pred = [set() for _ in range(n)]
+    for u, w in D.arcs():
+        pred[pos[w]].add(pos[u])
+    seen: set[int] = set()
+    for s in range(n):
+        above = range(s + 1, n)  # bit j of a set stands for vertex s + 1 + j
+        first = sum(1 << j for j, w in enumerate(above) if s in pred[w])
+        last = sum(1 << j for j, w in enumerate(above) if w in pred[s])
+        into = [sum(1 << j for j, u in enumerate(above) if u in pred[w]) for w in above]
+        ends = [0] * (1 << len(above))
+        for S in range(1, len(ends)):
+            if S & (S - 1) == 0:
+                ends[S] = S & first
+            else:
+                for j in range(len(above)):
+                    if S >> j & 1 and into[j] & ends[S ^ 1 << j]:
+                        ends[S] |= 1 << j
+            if ends[S] & last:
+                seen.add(bin(S).count("1") + 1)
+    return tuple(sorted(seen))
+
+
 def naive_dominating_pairs(D: Digraph) -> list[tuple[Vertex, Vertex, Vertex]]:
     """(u, v, least common out-neighbor) for every dominated pair, lex order."""
     succ = _succ(D)

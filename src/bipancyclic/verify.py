@@ -41,8 +41,10 @@ from .conditions import (
 )
 from .cycles import (
     Cycle,
+    _as_cycle,
     _check_cycle_indices,
-    _find_cycle_indices,
+    _find_cycles,
+    _length_mask,
     _lex_min_cycle_from,
     find_cycle_of_length,
     longest_non_hamiltonian_cycle,
@@ -192,16 +194,22 @@ def _d8_or_violation(D: BipartiteDigraph, claim: str) -> Conclusion:
 
 
 def _certificate(D: BipartiteDigraph, top: int, top_cycle: Cycle | None = None) -> Conclusion:
-    """Witness every even length 2..top or report the first missing one.
+    """Witness every even length 2..top or report the least missing one.
 
-    top_cycle, when given, is the top length's witness, already found.
+    top_cycle, when given, is the top length's witness, already found, and
+    the top length is not searched again.  The other lengths are searched
+    in one pass over the starts (``_find_cycles``), each witness the same
+    lex-min cycle a search for that length alone returns.
     """
+    found = _find_cycles(D, _length_mask(D, top if top_cycle is None else top - 2))
     witnesses = []
     for m in range(2, top + 1, 2):
-        cycle = top_cycle if m == top and top_cycle is not None else find_cycle_of_length(D, m)
-        if cycle is None:
+        if m in found:
+            witnesses.append((m, _as_cycle(D, found[m])))
+        elif m == top and top_cycle is not None:
+            witnesses.append((m, top_cycle))
+        else:
             return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)", D)
-        witnesses.append((m, cycle))
     return Conclusion("pancyclic-certificate", cycles=tuple(witnesses))
 
 
@@ -585,18 +593,22 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
     exhaustive DFS (``_lex_min_cycle_from``), so a missing rung is reported
     only when no such cycle exists.
 
-    The whole evaluation stays on vertex indices.  The lengths share D's
-    component memo, so each start's strong component is swept once per
-    sample, not once per length.  check_cycle's index core
-    (``_check_cycle_indices``) re-checks each cycle that has a unit, once
-    per cycle rather than once per unit.  A missing rung gives the claim
-    text of the WitnessNotFound that cycles_through_vertex would raise.
+    The whole evaluation stays on vertex indices.  The least cycle of every
+    length 2b is found in one pass over the starts (``_find_cycles``): one
+    walk per start for all pending lengths, each witness the one a search
+    for that length alone returns, and each start's strong component swept
+    once per sample.  A rung left to the DFS asks for its one length.
+    check_cycle's index core (``_check_cycle_indices``) re-checks each
+    cycle that has a unit, once per cycle rather than once per unit.  A
+    missing rung gives the claim text of the WitnessNotFound that
+    cycles_through_vertex would raise.
     """
     out, inn = D._out, D._in
     satisfying = 0
     claims: list[str] = []
+    hits = _find_cycles(D, _length_mask(D, 2 * D.a - 2))
     for b in range(1, D.a):  # cycle length 2b <= 2a - 2 < order
-        hit = _find_cycle_indices(D, 2 * b)
+        hit = hits.get(2 * b)
         if hit is None:
             continue
         cmask = 0
@@ -619,7 +631,7 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
                 continue
             allowed = cmask | 1 << x
             for m, rung in zip(range(2, 2 * b + 1, 2), rungs):
-                if not rung >> x & 1 and _lex_min_cycle_from(out, inn, x, m, allowed) is None:
+                if not rung >> x & 1 and not _lex_min_cycle_from(out, inn, x, 1 << m, allowed):
                     claims.append(
                         f"no cycle of length {m} through {D._vertex(x)}"
                         " within the cycle vertices"

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, one printed pass/fail line each.
+"""Acceptance gate: eleven criteria, one printed pass/fail line each.
 
 Each test computes its verdict, prints the one-line summary through the
 shared recorder (shown in the terminal summary section), and then asserts.
@@ -34,7 +34,7 @@ from bipancyclic import (
     serialize,
     verify_theorem,
 )
-from bipancyclic.naive import naive_cycle_lengths
+from bipancyclic.naive import naive_cycle_lengths, naive_cycle_lengths_dp
 
 from _criteria import record
 from _families import check_family
@@ -316,4 +316,33 @@ def test_criterion_10_round_trip_and_goldens():
         f"round-trip: {checked} digraphs, {bad_round_trips} mismatches; "
         f"goldens: {len(golden_files)} files, stale={stale or 'none'} "
         f"({time.perf_counter() - started:.0f}s)",
+    )
+
+
+def test_criterion_11_subset_dp_oracle():
+    # Orders the enumeration oracle cannot reach: general digraphs of order
+    # 11-14 and bipartite ones with a <= 7, from sparse (lengths missing
+    # between present ones) to dense.
+    started = time.perf_counter()
+    mismatches = 0
+    checked = 0
+    for i in range(2_000):
+        rng = random.Random(110_000 + i)
+        if i % 2 == 0:
+            n = 11 + i // 2 % 4
+            p = rng.choice((0.1, 0.15, 0.2, 0.3, 0.5))
+            slots = [(u, w) for u in range(n) for w in range(n) if u != w]
+            D = Digraph(n, [(f"v{u}", f"v{w}") for u, w in slots if rng.random() < p])
+        else:
+            a = 1 + i // 2 % 7
+            p = rng.choice((0.25, 0.35, 0.45, 0.55, 0.7))
+            D = random_bipartite(a, p, seed=rng.randrange(2**32))
+        if naive_cycle_lengths_dp(D) != cycle_spectrum(D).lengths():
+            mismatches += 1
+        checked += 1
+    record(
+        11,
+        mismatches == 0,
+        f"subset-DP oracle: {checked} spectra (general n 11-14, bipartite a <= 7), "
+        f"{mismatches} mismatches ({time.perf_counter() - started:.0f}s)",
     )

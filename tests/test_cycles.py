@@ -39,6 +39,7 @@ from bipancyclic.errors import (
 from bipancyclic.families import h_2m, h_m_m1_1, h_mm
 from bipancyclic.naive import (
     naive_cycle_lengths,
+    naive_cycle_lengths_dp,
     naive_cycles,
     naive_find_cycle,
 )
@@ -164,8 +165,8 @@ class TestFindCycle:
         # a shuffled order gives the hit of a fresh copy's memo per length
         # and of the naive enumeration.
         for m in data.draw(st.permutations(range(2, D.n + 1))):
-            shared = cycles._find_cycle_indices(D, m)
-            assert shared == cycles._find_cycle_indices(parse(serialize(D)), m)
+            shared = cycles._find_cycles(D, 1 << m).get(m)
+            assert shared == cycles._find_cycles(parse(serialize(D)), 1 << m).get(m)
             got = None if shared is None else tuple(D._vertex(i) for i in shared)
             assert got == naive_find_cycle(D, m)
 
@@ -228,6 +229,34 @@ class TestSpectrum:
         # full enumeration's length set must agree, on complete digraphs too,
         # where the stop comes soonest.
         assert naive_cycle_lengths(D) == tuple(sorted({len(c) for c in naive_cycles(D)}))
+
+    @given(st.one_of(general_digraphs(max_n=8), bipartite_digraphs(max_a=4), disjoint_unions()))
+    @example(_complete_digraph(1))
+    @example(_complete_digraph(2))
+    @example(_complete_digraph(3))
+    @example(_complete_digraph(5))
+    @example(_complete_digraph(8))
+    @settings(deadline=None)
+    def test_subset_dp_lengths_match_enumeration(self, D):
+        # Two oracles that share no code: the subset DP decides each length
+        # without following a path, the enumeration lists cycles.
+        assert naive_cycle_lengths_dp(D) == naive_cycle_lengths(D)
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            D
+            for m in range(2, 10)
+            for D in (h_mm(m), h_2m(m), h_2m(m, True), h_m_m1_1(m), h_m_m1_1(m, True))
+            if D.n <= 18
+        ],
+        ids=str,
+    )
+    def test_one_pass_matches_per_length_on_families(self, D):
+        # The spectrum's one pass and a search per length give the same
+        # witnesses on every member up to order 18.
+        per_length = [(m, find_cycle_of_length(D, m)) for m in range(2, D.n + 1)]
+        assert cycle_spectrum(D).witnesses == tuple((m, c) for m, c in per_length if c)
 
     @pytest.mark.parametrize("both", [False, True])
     @pytest.mark.parametrize(
@@ -323,8 +352,8 @@ class TestDeadStates:
                 if not allowed >> start & 1:
                     continue
                 for m in sorted({2, allowed.bit_count()} - {1}):
-                    got = cycles._lex_min_cycle_from(D._out, D._in, start, m, allowed)
-                    assert got == least_from(D, found, start, m, allowed)
+                    got = cycles._lex_min_cycle_from(D._out, D._in, start, 1 << m, allowed)
+                    assert got.get(m) == least_from(D, found, start, m, allowed)
 
     @pytest.mark.parametrize(
         "D, where",
@@ -361,7 +390,36 @@ class TestDeadStates:
 
         monkeypatch.setattr(cycles, "_reach_within", counted)
         cycle_spectrum(h_2m(8))
-        assert calls < 40_000  # 79,884 when every state is searched afresh
+        # 882 calls with the memo; 16,597 when every state is searched afresh
+        assert calls < 3_000
+
+    @pytest.mark.parametrize("cap", [0, 1, cycles._DEAD_STATE_CAP])
+    @given(
+        st.one_of(bipartite_digraphs(min_a=1, max_a=5), general_digraphs(min_n=1, max_n=9)),
+        st.data(),
+    )
+    @settings(deadline=None)
+    def test_one_pass_matches_one_length_walks(self, cap, D, data):
+        # One walk asked for a set of lengths returns, for each, the witness
+        # of a walk asked for that length alone and the naive least cycle
+        # through start inside allowed.  The set may hold the covering length
+        # (every allowed vertex) and lengths with no cycle, n + 1 included.
+        start = data.draw(st.integers(0, D.n - 1), label="start")
+        allowed = data.draw(st.integers(0, (1 << D.n) - 1), label="allowed") | 1 << start
+        lengths = data.draw(st.sets(st.integers(2, D.n + 1)), label="lengths")
+        if data.draw(st.booleans(), label="with the covering length"):
+            lengths.add(max(2, allowed.bit_count()))
+        found = naive_cycles(D)
+        out, inn = D._out, D._in
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_DEAD_STATE_CAP", cap)
+            mask = sum(1 << m for m in lengths)
+            got = cycles._lex_min_cycle_from(out, inn, start, mask, allowed)
+            assert set(got) <= lengths
+            for m in lengths:
+                alone = cycles._lex_min_cycle_from(out, inn, start, 1 << m, allowed)
+                assert set(alone) <= {m}
+                assert got.get(m) == alone.get(m) == least_from(D, found, start, m, allowed)
 
     @given(
         st.one_of(bipartite_digraphs(min_a=1, max_a=5), general_digraphs(min_n=1, max_n=10)),
@@ -385,12 +443,12 @@ class TestDeadStates:
         gc.disable()
         try:
             # no 9-cycle from v0: the search fails many states, none covering
-            assert cycles._lex_min_cycle_from(D._out, D._in, 0, 9, (1 << D.n) - 1) is None
+            assert cycles._lex_min_cycle_from(D._out, D._in, 0, 1 << 9, (1 << D.n) - 1) == {}
             assert gc.collect() == 0  # nothing waits for the cycle collector
             # m == n: a covering search, which runs the cycle-cover check
             # first; h_2m(6) has a cycle cover and h_m_m1_1(3) has none
             for H in (D, h_m_m1_1(3)):
-                assert cycles._lex_min_cycle_from(H._out, H._in, 0, H.n, (1 << H.n) - 1) is None
+                assert cycles._lex_min_cycle_from(H._out, H._in, 0, 1 << H.n, (1 << H.n) - 1) == {}
                 assert gc.collect() == 0
         finally:
             gc.enable()

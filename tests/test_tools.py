@@ -57,3 +57,18 @@ def test_cli_corpus_digest_is_stable(capsys):
     for _ in range(2):
         assert corpus.main(["--per-cell", "0"]) == 0
         assert capsys.readouterr().out == pinned
+
+
+def test_mutant_table_texts_occur_once():
+    # Each mutant's old text must name exactly one place in src/, so the
+    # table cannot silently stop mutating anything; running the mutants is
+    # left to tools/mutants.py.
+    mutants = _load("mutants")
+    package = mutants.SRC / "bipancyclic"
+    sources = {p: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert m.old != m.new, m.name
+        assert sources[package / m.file].count(m.old) == 1, m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, m.name

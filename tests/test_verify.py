@@ -638,21 +638,24 @@ class TestSearch:
             assert 0 < sweeps < len(walks) / 5
 
     def test_premise_runs_only_after_every_gate(self, monkeypatch):
+        # Every cycle search goes through the driver: the premise's by way
+        # of find_cycle_of_length, the certificate's directly.
         calls = []
+        search = cycles._find_cycles
 
-        def counting(D, m):
-            calls.append(m)
-            return find_cycle_of_length(D, m)
+        def counting(D, lengths):
+            calls.append(tuple(m for m in range(lengths.bit_length()) if lengths >> m & 1))
+            return search(D, lengths)
 
-        monkeypatch.setattr(conditions, "find_cycle_of_length", counting)
-        monkeypatch.setattr(verify, "find_cycle_of_length", counting)
+        monkeypatch.setattr(cycles, "_find_cycles", counting)
+        monkeypatch.setattr(verify, "_find_cycles", counting)
         not_strong = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
         verdict = verify_theorem(not_strong, Theorem.T1_9)
         assert verdict.outcome == "hypotheses-not-met"
         assert len(verdict.hypotheses.failures) == 3
         assert calls == []
         verify_theorem(d8(), Theorem.T1_9)  # the gates hold: one premise search
-        assert calls == [6, 2, 4]  # the certificate reuses the premise cycle
+        assert calls == [(6,), (2, 4)]  # the certificate reuses the premise cycle
 
     def test_workers_clamped_before_pool_starts(self, monkeypatch):
         pool = _inline_pool(monkeypatch)
@@ -795,21 +798,30 @@ class TestSearch:
         assert pooled.render() == report.render()
 
     def test_claim_1_9_reuses_its_premise_cycle(self, monkeypatch):
-        # the premise's (2a - 2)-cycle is the certificate's top witness, found once
-        calls = {"conditions": 0, "verify": 0}
-        for module in (conditions, verify):
-            def counted(D, m, find=module.find_cycle_of_length, key=module.__name__):
-                calls[key.rsplit(".", 1)[1]] += 1
-                return find(D, m)
+        # the premise's (2a - 2)-cycle is the certificate's top witness, found
+        # once: by a one-length premise search (find_cycle_of_length, through
+        # the cycles module's driver), while the certificate's one search
+        # (verify's driver) asks for every even length below it
+        calls = {"cycles": [], "verify": []}
+        search = cycles._find_cycles
+        for module in (cycles, verify):
+            def counted(D, lengths, key=module.__name__.rsplit(".", 1)[1]):
+                calls[key].append((D.a, lengths))
+                return search(D, lengths)
 
-            monkeypatch.setattr(module, "find_cycle_of_length", counted)
+            monkeypatch.setattr(module, "_find_cycles", counted)
         report = run_search(SearchConfig(Theorem.T1_9, samples=200, seed=1))
         assert report.hypothesis_satisfying == 69
-        assert calls == {"conditions": 69, "verify": 146}
-        calls.update(conditions=0, verify=0)
+        assert len(calls["cycles"]) == len(calls["verify"]) == 69
+        assert all(lengths == 1 << 2 * a - 2 for a, lengths in calls["cycles"])
+        assert all(
+            lengths == sum(1 << m for m in range(2, 2 * a - 2, 2))
+            for a, lengths in calls["verify"]
+        )
+        calls.update(cycles=[], verify=[])
         verdict = verify_theorem(complete_bipartite(4), Theorem.T1_9)
         assert verdict.conclusion.lengths() == (2, 4, 6)
-        assert calls == {"conditions": 1, "verify": 2}
+        assert calls == {"cycles": [(4, 1 << 6)], "verify": [(4, 1 << 2 | 1 << 4)]}
 
     def test_lemma_targets_run_clean(self):
         for target in (Theorem.L3_2, Theorem.L3_3, Theorem.L3_4):
@@ -896,11 +908,9 @@ class TestLemma33Evaluator:
         arcs = [(str(u), str(w)) for u, w in complete_bipartite(3).arcs()]
         arcs.remove(("y1", "x0"))
         D = BipartiteDigraph(3, arcs)
-        search = verify._find_cycle_indices
+        search = verify._find_cycles
         monkeypatch.setattr(
-            verify,
-            "_find_cycle_indices",
-            lambda D, m: broken if m == 4 else search(D, m),
+            verify, "_find_cycles", lambda D, lengths: {**search(D, lengths), 4: broken}
         )
         with pytest.raises(InvalidCycle) as caught:
             verify._eval_l3_3(D)
@@ -959,7 +969,7 @@ class TestLemma33Evaluator:
         # through x; a unit's vertex has every rung settled.
         arcs = set(D.arcs())
         for b in range(1, D.a):
-            hit = cycles._find_cycle_indices(D, 2 * b)
+            hit = cycles._find_cycles(D, 1 << 2 * b).get(2 * b)
             if hit is None:
                 continue
             C = [D._vertex(i) for i in hit]
@@ -993,8 +1003,8 @@ class TestLemma33Evaluator:
         C = find_cycle_of_length(D, 4)
         dfs = cycles._lex_min_cycle_from
 
-        def losing(out, inn, x, m, allowed):
-            return None if m >= 4 else dfs(out, inn, x, m, allowed)
+        def losing(out, inn, x, lengths, allowed):
+            return {m: hit for m, hit in dfs(out, inn, x, lengths, allowed).items() if m < 4}
 
         monkeypatch.setattr(verify, "_rung_masks", _no_rungs)
         monkeypatch.setattr(verify, "_lex_min_cycle_from", losing)
