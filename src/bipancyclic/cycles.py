@@ -7,10 +7,10 @@ given length the returned rotation starts at the cycle's least vertex and the
 whole vertex sequence is lexicographically least among all cycles of that
 length (rotations of the same cycle included).
 
-Every search takes a set of lengths: a single length for
-``find_cycle_of_length`` and ``is_hamiltonian``, every length at once for
-``cycle_spectrum`` and ``longest_non_hamiltonian_cycle``
-(``_find_cycles``).  Each start runs one depth-first walk for all of its
+Every search takes a set of lengths (``_find_cycles``): a single length
+for ``find_cycle_of_length``, ``is_hamiltonian`` and
+``longest_non_hamiltonian_cycle`` (which tries n - 1 down and stops at the
+first hit), every length at once for ``cycle_spectrum``.  Each start runs one depth-first walk for all of its
 pending lengths, as one loop over an explicit stack that keeps, per path
 vertex, the mask of successors not yet tried (``_lex_min_cycle_from``).
 Why each witness is lex-least and each absence exact (None, or a length
@@ -415,7 +415,7 @@ def find_cycle_of_length(D: Digraph, m: int) -> Cycle | None:
     if isinstance(D, BipartiteDigraph) and m % 2:
         return None
     hit = _find_cycles(D, 1 << m).get(m)
-    return None if hit is None else Cycle(tuple(D._vertex(i) for i in hit))
+    return None if hit is None else _as_cycle(D, hit)
 
 
 def cycle_spectrum(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> CycleSpectrum:
@@ -444,14 +444,22 @@ def is_hamiltonian(D: Digraph) -> bool:
 
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:
     """Longest cycle on < n vertices (lex-min witness), or None if no such
-    cycle exists: the largest length one pass over the starts finds below n.
-    Raises TooLarge above max_n, and BadParams for a max_n that is not an
-    int."""
+    cycle exists.  Raises TooLarge above max_n, and BadParams for a max_n
+    that is not an int.
+
+    Lengths are tried one at a time from n - 1 down, and the first hit
+    ends the scan.  A pass asking for every length at once could not stop
+    there: its walks would still owe a proof of absence for each shorter
+    length the spectrum skips.
+    """
     _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"longest-cycle scan capped at order {max_n}, got {D.n}")
-    found = _find_cycles(D, _length_mask(D, D.n - 1))
-    return _as_cycle(D, found[max(found)]) if found else None
+    for m in range(D.n - 1, 1, -1):  # an odd m in a bipartite host is None at once
+        cycle = find_cycle_of_length(D, m)
+        if cycle is not None:
+            return cycle
+    return None
 
 
 def cycles_through_vertex(

@@ -484,6 +484,25 @@ class TestHamiltonian:
         with pytest.raises(TooLarge):
             longest_non_hamiltonian_cycle(complete_bipartite(13))
 
+    def test_longest_non_hamiltonian_stops_at_the_first_hit(self, monkeypatch):
+        # K_{11,12} read as a general digraph: its 22-cycle closes on the first
+        # path, while a walk still owing the odd lengths 3..21 would have to
+        # prove each absent over millions of (visited set, end) states.
+        a, n = 11, 23
+        arcs = [(f"v{x}", f"v{y}") for x in range(a) for y in range(a, n)]
+        D = Digraph(n, arcs + [(head, tail) for tail, head in arcs])
+        asked = []
+        walk = cycles._lex_min_cycle_from
+
+        def one_length(out, inn, start, lengths, allowed):
+            asked.append(lengths)
+            assert lengths.bit_count() == 1
+            return walk(out, inn, start, lengths, allowed)
+
+        monkeypatch.setattr(cycles, "_lex_min_cycle_from", one_length)
+        assert longest_non_hamiltonian_cycle(D).length == 22
+        assert asked == [1 << 22]
+
     @given(st.one_of(bipartite_digraphs(min_a=1, max_a=4), general_digraphs(min_n=1, max_n=7)))
     def test_longest_non_hamiltonian_matches_naive(self, D):
         # naive_cycles lists cycles of equal length in lexicographic order
