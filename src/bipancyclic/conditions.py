@@ -10,20 +10,22 @@ bipartite digraphs: claims 1.6-1.10 and the lemmas 3.2-3.4 their proofs use.
 The Theorem docstring states each in full.  A statement's hypotheses are a
 row of gate clauses (connectivity, order, degree condition, shape) plus at
 most one premise clause, the cycle the conclusion starts from (claim 1.9's,
-lemma 3.4's).  One walker evaluates a row: the premise runs only when every
+lemma 3.4's), found on vertex indices.  The premise runs only when every
 gate held.  check_theorem_hypotheses walks the gates in report order and
-reports every failing one; the search walks them cheapest and most selective
-first and stops at the first failure, which changes no count (see
-_search_row).
+reports every failing one (_walk); the search screens a whole block of
+samples with the gates, cheapest and most selective first, and drops each
+sample at its first failure, which changes no count (_screen, _search_row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .cycles import Cycle, find_cycle_of_length, longest_non_hamiltonian_cycle
+# find_cycle_of_length is not called here; bench/cliload.py's traced run
+# wraps the name in this module.
+from .cycles import _find_cycles, _longest_non_hamiltonian, find_cycle_of_length
 from .digraph import BipartiteDigraph, Digraph, DominatingPair, _reach, _require_int
 from .errors import BadParams
 
@@ -171,9 +173,10 @@ class HypothesisReport:
 
     theorem: Theorem
     failures: tuple[str, ...]
-    # The cycle a premise clause found (claim 1.9's, lemma 3.4's), so that
-    # the conclusion reuses it rather than searching for it again.
-    _premise: Cycle | None = field(default=None, repr=False, compare=False)
+    # The index list of the cycle a premise clause found (claim 1.9's, lemma
+    # 3.4's), so that the conclusion reuses it rather than searching for it
+    # again.
+    _premise: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def satisfied(self) -> bool:
@@ -183,7 +186,8 @@ class HypothesisReport:
 class _Clause(NamedTuple):
     """A hypothesis clause: a predicate plus a builder for its failure
     message, which runs only when the predicate fails.  A gate's predicate
-    returns a bool; a premise's returns the cycle it found, or None.  rank
+    returns a bool; a premise's returns the index list of the cycle it
+    found, or None.  rank
     is a gate's place in the search's walk (see _search_row); a premise
     always runs last and has none."""
 
@@ -237,14 +241,14 @@ _TWO_SIDED = _Clause(
     lambda D: check_two_sided_condition(D)[0], _explain_two_sided, _TWO_SIDED_DEGREE
 )
 _PREMISE = _Clause(
-    lambda D: find_cycle_of_length(D, 2 * D.a - 2),
+    lambda D: _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2),
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
 )
 
 
-def _bypassed_longest(D: BipartiteDigraph) -> Cycle | None:
-    """The longest non-Hamiltonian cycle C when it has length >= 4 and a
-    gap-1 bypass, else None.
+def _bypassed_longest(D: BipartiteDigraph) -> list[int] | None:
+    """The longest non-Hamiltonian cycle C, as an index list, when it has
+    length >= 4 and a gap-1 bypass, else None.
 
     A gap-1 bypass runs from a vertex u of C to its successor w on C through
     one or more vertices off C.  The sweep from u through the off-cycle
@@ -253,12 +257,11 @@ def _bypassed_longest(D: BipartiteDigraph) -> Cycle | None:
     an arc to w.  Only existence matters: the least bypass has gap 1 iff
     some bypass has gap 1.
     """
-    C = longest_non_hamiltonian_cycle(D)
-    if C is None or C.length < 4:
+    C = _longest_non_hamiltonian(D)
+    if C is None or len(C) < 4:
         return None
-    idx = [D._index(v) for v in C.vertices]
-    off = (1 << D.n) - 1 - sum(1 << i for i in idx)
-    for u, w in zip(idx, [*idx[1:], idx[0]]):
+    off = (1 << D.n) - 1 - sum(1 << i for i in C)
+    for u, w in zip(C, [*C[1:], C[0]]):
         if _reach(D._out, u, off) & off & D._in[w]:
             return C
     return None
@@ -289,20 +292,17 @@ _CLAUSES: dict[Theorem, _Row] = {
 }
 
 
-def _walk(D: BipartiteDigraph, row: _Row, stop: bool) -> tuple[list[_Clause], Cycle | None]:
-    """Evaluate one row: its failing clauses in the row's order, and the
-    premise's cycle (None when the row has no premise or a clause failed).
+def _walk(D: BipartiteDigraph, row: _Row) -> tuple[list[_Clause], list[int] | None]:
+    """Evaluate one row for check_theorem_hypotheses: every failing clause in
+    the row's order, and the premise's cycle as an index list (None when the
+    row has no premise or a clause failed).
 
     The premise runs only when every gate held, so its search never meets an
-    input the gates reject.  With stop, the walk ends at the first failure.
+    input the gates reject.  The search does not walk rows: it screens a
+    block with the gates (_screen) and runs the premise on the survivors.
     """
     gates, premise = row
-    failed = []
-    for clause in gates:
-        if not clause.holds(D):
-            failed.append(clause)
-            if stop:
-                break
+    failed = [clause for clause in gates if not clause.holds(D)]
     if failed or premise is None:
         return failed, None
     cycle = premise.holds(D)
@@ -312,14 +312,14 @@ def _walk(D: BipartiteDigraph, row: _Row, stop: bool) -> tuple[list[_Clause], Cy
 
 
 def _search_row(row: _Row) -> _Row:
-    """The row as the search walks it: its gates by rank, cheapest and most
-    selective first, then its premise.
+    """The row as the search screens with it: its gates by rank, cheapest
+    and most selective first, then its premise.
 
     The search asks only whether every gate holds, and each gate is a pure
-    predicate of the digraph, so the order it tests them in, and stopping
-    at the first failure, cannot change that answer or any count; only the
-    time it takes.  check_theorem_hypotheses lists every failure, so it
-    keeps report order.  Per search-sparse sample (claim 1.9, a = 4..6,
+    predicate of the digraph, so the order it tests them in, and dropping a
+    sample at its first failure, cannot change that answer or any count;
+    only the time it takes.  check_theorem_hypotheses lists every failure,
+    so it keeps report order.  Per search-sparse sample (claim 1.9, a = 4..6,
     p = .3/.5/.7; Python 3.11 on a shared 2-core host): the order test is
     free; bk_holds takes about 1.0 us, and B_0 rejects 95.4% of samples and
     B_1 99.3%; strong connectivity takes 2.6-2.8 us (two reachability sweeps
@@ -330,6 +330,19 @@ def _search_row(row: _Row) -> _Row:
     """
     gates, premise = row
     return tuple(sorted(gates, key=lambda clause: clause.rank)), premise
+
+
+def _screen(row: _Row, digraphs: Iterable[BipartiteDigraph]) -> Iterable[BipartiteDigraph]:
+    """The digraphs that pass every gate of row, in their order.
+
+    The gates are chained as filters in _search_row's order, so the loop
+    over the samples runs in C: each sample meets the gates one at a time
+    and leaves at the first that rejects it, and no gate runs twice on it.
+    The premise is not run.
+    """
+    for clause in _search_row(row)[0]:
+        digraphs = filter(clause.holds, digraphs)
+    return digraphs
 
 
 def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
@@ -350,5 +363,5 @@ def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:
         raise BadParams(f"theorem must be a Theorem member, got {theorem!r}")
     if not isinstance(D, BipartiteDigraph):
         return HypothesisReport(theorem, ("structure: not a balanced bipartite digraph",))
-    failed, premise = _walk(D, _CLAUSES[theorem], stop=False)
+    failed, premise = _walk(D, _CLAUSES[theorem])
     return HypothesisReport(theorem, tuple(clause.explain(D) for clause in failed), premise)

@@ -445,20 +445,29 @@ def is_hamiltonian(D: Digraph) -> bool:
 def longest_non_hamiltonian_cycle(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> Cycle | None:
     """Longest cycle on < n vertices (lex-min witness), or None if no such
     cycle exists.  Raises TooLarge above max_n, and BadParams for a max_n
-    that is not an int.
+    that is not an int.  The scan is ``_longest_non_hamiltonian``'s.
+    """
+    hit = _longest_non_hamiltonian(D, max_n)
+    return None if hit is None else _as_cycle(D, hit)
 
-    Lengths are tried one at a time from n - 1 down, and the first hit
-    ends the scan.  A pass asking for every length at once could not stop
-    there: its walks would still owe a proof of absence for each shorter
-    length the spectrum skips.
+
+def _longest_non_hamiltonian(D: Digraph, max_n: int = DEFAULT_MAX_ORDER) -> list[int] | None:
+    """longest_non_hamiltonian_cycle on vertex indices: the witness's index
+    list, or None; raises as it does.
+
+    Lengths are tried one at a time from n - 1 down (only the even ones in a
+    bipartite host), and the first hit ends the scan.  A pass asking for
+    every length at once could not stop there: its walks would still owe a
+    proof of absence for each shorter length the spectrum skips.
     """
     _require_int(max_n, "order cap")
     if D.n > max_n:
         raise TooLarge(f"longest-cycle scan capped at order {max_n}, got {D.n}")
-    for m in range(D.n - 1, 1, -1):  # an odd m in a bipartite host is None at once
-        cycle = find_cycle_of_length(D, m)
-        if cycle is not None:
-            return cycle
+    step = 2 if isinstance(D, BipartiteDigraph) else 1  # n = 2a: n - 2 is even
+    for m in range(D.n - step, 1, -step):
+        hit = _find_cycles(D, 1 << m).get(m)
+        if hit is not None:
+            return hit
     return None
 
 

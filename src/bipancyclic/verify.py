@@ -11,10 +11,16 @@ appear, and the test suite treats one as a loud failure.  Lemma 3.3 has no
 verdict: its unit is a (cycle, vertex) pair, so only the search replays it.
 
 The search harness samples seeded random digraphs over an (a, p) grid,
-filters to hypothesis-satisfying ones, and replays the selected statement on
-each.  Every sample's seed is a pure function of (config seed, a, p, sample
-index), so reports are reproducible count-for-count regardless of worker
-count or platform.
+screens each drawn block with the statement's gates, and runs the premise
+and the same conclusion routine certify runs on each survivor.  Every
+sample's seed is a pure function of (config seed, a, p, sample index), so
+reports are reproducible count-for-count regardless of worker count or
+platform.
+
+Premises and conclusion routines work on vertex indices: a witness is an
+index list until verify_theorem names it (_named), the one place a witness
+gets vertex names and a violation its serialization.  The search reads
+only a conclusion's kind and claim text, so it never names a witness.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import hashlib
 import os
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial, reduce
 from itertools import combinations, permutations
 from operator import and_, or_
@@ -34,9 +40,8 @@ from .conditions import (
     HypothesisReport,
     Theorem,
     _CLAUSES,
-    _Row,
-    _search_row,
-    _walk,
+    _Clause,
+    _screen,
     check_theorem_hypotheses,
 )
 from .cycles import (
@@ -46,8 +51,8 @@ from .cycles import (
     _find_cycles,
     _length_mask,
     _lex_min_cycle_from,
-    find_cycle_of_length,
-    longest_non_hamiltonian_cycle,
+    _longest_non_hamiltonian,
+    find_cycle_of_length,  # not called: bench/cliload.py's traced run wraps it here
 )
 from .digraph import (
     BipartiteDigraph,
@@ -107,6 +112,10 @@ class Conclusion:
       d8-isomorphism         isomorphism maps the input onto the exception;
       violation              claim names what failed and serialization is the
                              input, a reproducible counterexample package.
+
+    A conclusion routine returns it on vertex indices: each witness in
+    cycles an index list, and no serialization.  verify_theorem names it
+    (_named) before anyone reads more than kind and claim.
     """
 
     kind: str
@@ -178,22 +187,32 @@ class TheoremVerdict:
         return "conclusion"
 
 
-def _single(kind: str, cycle: Cycle) -> Conclusion:
-    return Conclusion(kind, cycles=((cycle.length, cycle),))
+def _single(kind: str, hit: list[int]) -> Conclusion:
+    return Conclusion(kind, cycles=((len(hit), hit),))
 
 
-def _violation(claim: str, D: Digraph) -> Conclusion:
-    return Conclusion("violation", claim=claim, serialization=serialize(D))
+def _violation(claim: str) -> Conclusion:
+    return Conclusion("violation", claim=claim)
+
+
+def _named(D: BipartiteDigraph, conclusion: Conclusion) -> Conclusion:
+    """A routine's index-level conclusion with each witness named as a
+    Cycle, and a violation's input serialized."""
+    return replace(
+        conclusion,
+        cycles=tuple((m, _as_cycle(D, hit)) for m, hit in conclusion.cycles),
+        serialization=serialize(D) if conclusion.kind == "violation" else "",
+    )
 
 
 def _d8_or_violation(D: BipartiteDigraph, claim: str) -> Conclusion:
     witness = iso_to_D8(D)
     if witness is not None:
         return Conclusion("d8-isomorphism", isomorphism=witness)
-    return _violation(claim, D)
+    return _violation(claim)
 
 
-def _certificate(D: BipartiteDigraph, top: int, top_cycle: Cycle | None = None) -> Conclusion:
+def _certificate(D: BipartiteDigraph, top: int, top_cycle: list[int] | None = None) -> Conclusion:
     """Witness every even length 2..top or report the least missing one.
 
     top_cycle, when given, is the top length's witness, already found, and
@@ -202,22 +221,17 @@ def _certificate(D: BipartiteDigraph, top: int, top_cycle: Cycle | None = None) 
     lex-min cycle a search for that length alone returns.
     """
     found = _find_cycles(D, _length_mask(D, top if top_cycle is None else top - 2))
-    witnesses = []
+    if top_cycle is not None:
+        found[top] = top_cycle
     for m in range(2, top + 1, 2):
-        if m in found:
-            witnesses.append((m, _as_cycle(D, found[m])))
-        elif m == top and top_cycle is not None:
-            witnesses.append((m, top_cycle))
-        else:
-            return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)", D)
-    return Conclusion("pancyclic-certificate", cycles=tuple(witnesses))
+        if m not in found:
+            return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)")
+    return Conclusion("pancyclic-certificate", cycles=tuple(sorted(found.items())))
 
 
 def _directed_cycle(D: BipartiteDigraph) -> Conclusion:
     """The directed-cycle conclusion: the input is its own Hamiltonian cycle."""
-    cycle = find_cycle_of_length(D, D.n)
-    assert cycle is not None
-    return _single("directed-cycle", cycle)
+    return _single("directed-cycle", _find_cycles(D, 1 << D.n)[D.n])
 
 
 def _conclude_1_6(D: BipartiteDigraph) -> Conclusion:
@@ -231,7 +245,7 @@ def _conclude_1_6(D: BipartiteDigraph) -> Conclusion:
 
 def _conclude_1_7(D: BipartiteDigraph) -> Conclusion:
     """Hamiltonian, or the 8-vertex exception."""
-    ham = find_cycle_of_length(D, D.n)
+    ham = _find_cycles(D, 1 << D.n).get(D.n)
     if ham is not None:
         return _single("hamiltonian", ham)
     return _d8_or_violation(D, "not Hamiltonian and not the 8-vertex exception")
@@ -241,10 +255,10 @@ def _conclude_1_8(D: BipartiteDigraph) -> Conclusion:
     """A cycle two short of Hamiltonian, or the directed cycle itself."""
     if D.is_directed_cycle():
         return _directed_cycle(D)
-    cycle = find_cycle_of_length(D, 2 * D.a - 2)
+    cycle = _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2)
     if cycle is not None:
         return _single("two-below-full-cycle", cycle)
-    return _violation(f"no cycle of length {2 * D.a - 2} and not a directed cycle", D)
+    return _violation(f"no cycle of length {2 * D.a - 2} and not a directed cycle")
 
 
 def _conclude_1_10(D: BipartiteDigraph) -> Conclusion:
@@ -257,27 +271,28 @@ def _conclude_1_10(D: BipartiteDigraph) -> Conclusion:
 
 def _conclude_3_2(D: BipartiteDigraph) -> Conclusion:
     """The longest non-Hamiltonian cycle, of length >= 4."""
-    cycle = longest_non_hamiltonian_cycle(D)
-    if cycle is not None and cycle.length >= 4:
+    cycle = _longest_non_hamiltonian(D)
+    if cycle is not None and len(cycle) >= 4:
         return _single("non-hamiltonian-cycle", cycle)
-    return _violation("no non-Hamiltonian cycle of length >= 4", D)
+    return _violation("no non-Hamiltonian cycle of length >= 4")
 
 
-def _conclude_3_4(D: BipartiteDigraph, cycle: Cycle) -> Conclusion:
+def _conclude_3_4(D: BipartiteDigraph, cycle: list[int]) -> Conclusion:
     """The premise's bypassed longest non-Hamiltonian cycle has length 2a - 2."""
-    if cycle.length == 2 * D.a - 2:
+    if len(cycle) == 2 * D.a - 2:
         return _single("two-below-full-cycle", cycle)
     return _violation(
-        f"gap-1 bypass on a longest non-Hamiltonian cycle of length {cycle.length},"
-        f" expected {2 * D.a - 2}",
-        D,
+        f"gap-1 bypass on a longest non-Hamiltonian cycle of length {len(cycle)},"
+        f" expected {2 * D.a - 2}"
     )
 
 
 # Each statement's conclusion routine, run only on inputs that meet its
-# hypotheses, with the premise cycle those found (1.9's, 3.4's) or None.
-# Lemma 3.3 has none: its unit is not a digraph (see _eval_l3_3).
-_Conclude = Callable[[BipartiteDigraph, Cycle | None], Conclusion]
+# hypotheses, with the premise cycle those found (1.9's, 3.4's, an index
+# list) or None; certify and the search share it.  It answers on vertex
+# indices (see Conclusion).  Lemma 3.3 has none: its unit is not a digraph
+# (see _eval_l3_3).
+_Conclude = Callable[[BipartiteDigraph, list[int] | None], Conclusion]
 _CONCLUSIONS: dict[Theorem, _Conclude] = {
     Theorem.T1_6: lambda D, _: _conclude_1_6(D),
     Theorem.T1_7: lambda D, _: _conclude_1_7(D),
@@ -307,7 +322,7 @@ def verify_theorem(D: Digraph, theorem: Theorem) -> TheoremVerdict:
     if not hyp.satisfied:
         return TheoremVerdict(theorem, hyp, None)
     assert isinstance(D, BipartiteDigraph)
-    return TheoremVerdict(theorem, hyp, _CONCLUSIONS[theorem](D, hyp._premise))
+    return TheoremVerdict(theorem, hyp, _named(D, _CONCLUSIONS[theorem](D, hyp._premise)))
 
 
 # -- isomorphism to the 8-vertex exception ----------------------------------------
@@ -545,16 +560,24 @@ def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
 
 
 # Per-target evaluation: returns (satisfying units, violation claims), which
-# _run_block prefixes with the statement id.  Every target but lemma 3.3 walks
-# the clause row certify reports on, in the search's order (_search_row) and
-# stopping at the first failure, then runs the conclusion routine certify runs.
+# _run_block prefixes with the statement id.
 
 
-def _eval_claim(row: _Row, conclude: _Conclude, D: BipartiteDigraph) -> tuple[int, list[str]]:
-    failed, premise = _walk(D, row, stop=True)
-    if failed:
-        return 0, []
-    conclusion = conclude(D, premise)
+def _eval_claim(
+    premise: _Clause | None, conclude: _Conclude, D: BipartiteDigraph
+) -> tuple[int, list[str]]:
+    """A sample that passed every gate of its row (_screen): its premise,
+    when the row has one, then the conclusion routine certify runs.
+
+    Only the conclusion's kind and claim text are read, so no witness is
+    named here.
+    """
+    found = None
+    if premise is not None:
+        found = premise.holds(D)
+        if found is None:
+            return 0, []
+    conclusion = conclude(D, found)
     if conclusion.kind == "violation":
         return 1, [conclusion.claim]
     return 1, []
@@ -650,18 +673,26 @@ def _run_block(
     satisfying count and the violation records, picklable for workers.
 
     The block's samples are drawn in one pass; sample i is the digraph
-    sample_digraph(seed, a, p, i) returns."""
+    sample_digraph(seed, a, p, i) returns.  A claim's gates screen the
+    whole block first (_screen), so a rejected sample costs only the gate
+    calls that reject it, and only the survivors reach _eval_claim.
+    """
+    block = _draw_block(a, p, _sample_seeds(seed, a, p, start, stop))
     if target is Theorem.L3_3:
-        evaluate = _eval_l3_3
+        survivors, evaluate = block, _eval_l3_3
     else:
-        evaluate = partial(_eval_claim, _search_row(_CLAUSES[target]), _CONCLUSIONS[target])
+        row = _CLAUSES[target]
+        survivors = _screen(row, block)
+        evaluate = partial(_eval_claim, row[1], _CONCLUSIONS[target])
     label = f"claim {target.value}: "
     satisfying = 0
     violations: list[ViolationRecord] = []
-    for i, D in enumerate(_draw_block(a, p, _sample_seeds(seed, a, p, start, stop)), start):
+    for D in survivors:
         units, claims = evaluate(D)
         satisfying += units
         if claims:
+            # by identity: two samples of one block can be equal digraphs
+            i = next(k for k, E in enumerate(block, start) if E is D)
             text = serialize(D)
             violations.extend(
                 ViolationRecord(target, a, p, i, label + claim, text, seed) for claim in claims

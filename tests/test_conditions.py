@@ -23,10 +23,11 @@ from bipancyclic.conditions import (
     _STRONG,
     _TWO_SIDED,
     _bypassed_longest,
+    _screen,
     _search_row,
-    _walk,
     bk_holds,
 )
+from bipancyclic.cycles import _as_cycle
 from bipancyclic.errors import BadParams
 from bipancyclic.naive import naive_bypasses, naive_dominating_pairs
 
@@ -219,9 +220,30 @@ def _neither():
     return BipartiteDigraph(4, [("x0", "y0"), ("x1", "y0")])
 
 
+def _screened(D, row):
+    """The search's screen on D alone: the gates it called, in order, each
+    with its result, whether D passed, and the premise's index list (None
+    unless D passed and the premise found a cycle)."""
+    calls = []
+
+    def counted(clause):
+        def holds(D):
+            result = clause.holds(D)
+            calls.append((clause, result))
+            return result
+
+        return clause._replace(holds=holds)
+
+    gates, premise = row
+    passed = list(_screen((tuple(map(counted, gates)), premise), [D])) == [D]
+    found = premise.holds(D) if passed and premise is not None else None
+    return calls, passed, found
+
+
 class TestSearchOrder:
-    """The search walks each row's gates cheapest first; certify lists the
-    failures in report order.  Both must agree on whether the row holds."""
+    """The search screens with each row's gates cheapest first; certify
+    lists the failures in report order.  Both must agree on whether the row
+    holds."""
 
     @pytest.mark.parametrize(
         ("build", "failing"),
@@ -239,9 +261,11 @@ class TestSearchOrder:
             assert {f.split(":")[0] for f in report.failures} == failing
         for theorem in Theorem:
             report = check_theorem_hypotheses(D, theorem)
-            failed, premise = _walk(D, _search_row(_CLAUSES[theorem]), stop=True)
-            assert (not failed) == report.satisfied
-            assert len(failed) <= 1
+            calls, passed, premise = _screened(D, _CLAUSES[theorem])
+            assert all(result for _, result in calls[:-1])  # stops at a failure
+            assert passed == all(result for _, result in calls)
+            has_premise = _CLAUSES[theorem][1] is not None
+            assert (passed and (premise is not None or not has_premise)) == report.satisfied
             assert premise == report._premise
 
     def test_degree_before_connectivity(self):
@@ -249,8 +273,9 @@ class TestSearchOrder:
         # connectivity first
         D = _neither()
         for theorem in (Theorem.T1_8, Theorem.T1_9, Theorem.L3_2):
-            failed, _ = _walk(D, _search_row(_CLAUSES[theorem]), stop=True)
-            assert failed[0].explain(D).startswith("degree condition: B_")
+            calls, passed, _ = _screened(D, _CLAUSES[theorem])
+            assert not passed and calls[-1][0].explain(D).startswith("degree condition: B_")
+            assert _STRONG not in [clause for clause, _ in calls]
             report = check_theorem_hypotheses(D, theorem)
             assert report.failures[0] == "connectivity: not strongly connected"
 
@@ -271,6 +296,12 @@ class TestBypassPremise:
     """Lemma 3.4's premise against the naive bypass enumeration."""
 
     @staticmethod
+    def bypassed(D):
+        """The premise's index list, named as a Cycle."""
+        hit = _bypassed_longest(D)
+        return None if hit is None else _as_cycle(D, hit)
+
+    @staticmethod
     def expected(D):
         C = longest_non_hamiltonian_cycle(D)
         if C is None or C.length < 4:
@@ -280,17 +311,17 @@ class TestBypassPremise:
 
     @given(bipartite_digraphs(max_a=4))
     def test_against_naive_oracle(self, D):
-        assert _bypassed_longest(D) == self.expected(D)
+        assert self.bypassed(D) == self.expected(D)
 
     def test_d8_least_bypass_has_gap_4(self):
         D = d8()
         C = longest_non_hamiltonian_cycle(D)
         assert min(gap for gap, _ in naive_bypasses(D, C.vertices)) == 4
-        assert _bypassed_longest(D) is None
+        assert self.bypassed(D) is None
 
     def test_complete_holds(self):
         D = complete_bipartite(4)
-        C = _bypassed_longest(D)
+        C = self.bypassed(D)
         assert C is not None and C == longest_non_hamiltonian_cycle(D)
         assert C.length == 6
 
@@ -300,7 +331,7 @@ class TestBypassPremise:
         D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
         C = longest_non_hamiltonian_cycle(D)
         assert C.length == 6 and naive_bypasses(D, C.vertices) == []
-        assert _bypassed_longest(D) is None
+        assert self.bypassed(D) is None
 
     def test_bypass_on_the_closing_arc(self):
         # the same 6-cycle, whose only bypass y2 x3 y3 x0 spans its closing arc
@@ -310,4 +341,4 @@ class TestBypassPremise:
         C = longest_non_hamiltonian_cycle(D)
         assert [str(v) for v in C.vertices] == ring
         assert [g for g, _ in naive_bypasses(D, C.vertices)] == [1]
-        assert _bypassed_longest(D) == C
+        assert self.bypassed(D) == C

@@ -500,6 +500,11 @@ class TestHamiltonian:
             return walk(out, inn, start, lengths, allowed)
 
         monkeypatch.setattr(cycles, "_lex_min_cycle_from", one_length)
+        # K_{4,4} first: a scan that goes on past its first hit fails here at
+        # once, where on K_{11,12} it would run for minutes
+        assert longest_non_hamiltonian_cycle(complete_bipartite(4)).length == 6
+        assert asked == [1 << 6]
+        asked.clear()
         assert longest_non_hamiltonian_cycle(D).length == 22
         assert asked == [1 << 22]
 

@@ -47,6 +47,7 @@ from bipancyclic.naive import naive_isomorphism
 from bipancyclic import cli, conditions, cycles, digraph, verify
 from bipancyclic.verify import MAX_SAMPLES, _certificate
 
+from test_conditions import _screened
 from test_digraph import bipartite_digraphs
 
 D8_ARC_LIST = [(str(u), str(v)) for u, v in d8().arcs()]
@@ -137,10 +138,22 @@ class TestVerdicts:
         assert v.conclusion.kind == "non-hamiltonian-cycle"
         assert str(v.conclusion.cycle) == "x0 y0 x2 y3 x3 y1"
 
-    def test_3_4_reuses_the_bypassed_cycle(self):
-        v = verify_theorem(complete_bipartite(4), Theorem.L3_4)
+    def test_3_4_reuses_the_bypassed_cycle(self, monkeypatch):
+        # one longest-cycle scan, the premise's; the conclusion names its cycle
+        scans = []
+        scan = cycles._longest_non_hamiltonian
+
+        def counted(D, *args):
+            scans.append(D)
+            return scan(D, *args)
+
+        monkeypatch.setattr(conditions, "_longest_non_hamiltonian", counted)
+        monkeypatch.setattr(verify, "_longest_non_hamiltonian", counted)
+        D = complete_bipartite(4)
+        v = verify_theorem(D, Theorem.L3_4)
         assert v.conclusion.kind == "two-below-full-cycle"
-        assert v.conclusion.cycle is v.hypotheses._premise
+        assert v.conclusion.cycle == cycles._as_cycle(D, v.hypotheses._premise)
+        assert scans == [D]
 
     def test_3_3_has_no_verdict(self):
         with pytest.raises(BadParams, match="search --target 3.3"):
@@ -163,7 +176,7 @@ class TestVerdicts:
         # violation texts, which search reports after "claim <id>: "
         out = verify._CONCLUSIONS[Theorem.L3_2](directed_cycle(4), None)
         assert out.claim == "no non-Hamiltonian cycle of length >= 4"
-        four = find_cycle_of_length(complete_bipartite(4), 4)
+        four = cycles._find_cycles(complete_bipartite(4), 1 << 4)[4]
         out = verify._CONCLUSIONS[Theorem.L3_4](complete_bipartite(4), four)
         assert out.claim == (
             "gap-1 bypass on a longest non-Hamiltonian cycle of length 4, expected 6"
@@ -191,8 +204,8 @@ class TestVerdicts:
         # 1.9's certificate, claim 1.7 and claim 1.10 must each refuse it.
         ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
         D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
-        premise = find_cycle_of_length(D, 6)
-        assert [str(v) for v in premise.vertices] == ring
+        premise = cycles._find_cycles(D, 1 << 6)[6]
+        assert [str(v) for v in cycles._as_cycle(D, premise).vertices] == ring
         outs = [
             verify._certificate(D, 6, premise),
             verify._conclude_1_7(D),
@@ -454,18 +467,20 @@ class TestSampling:
         assert D1 == D2 and D1.a == 4
 
     def test_block_draws_sample_digraph(self, monkeypatch):
-        # A stand-in evaluator reports every sample with its masks.  513
-        # samples are one block more than _BLOCK drawn at once, and a search
-        # splits them into a full block and a block of one.
-        def every(row, conclude, D):
+        # A stand-in row with no gates lets every sample through the screen,
+        # and a stand-in evaluator reports each with its masks.  513 samples
+        # are one block more than _BLOCK drawn at once, and a search splits
+        # them into a full block and a block of one.
+        def every(premise, conclude, D):
             return 1, [f"{D._out} {D._in}"]
 
+        monkeypatch.setattr(verify, "_CLAUSES", {Theorem.T1_8: ((), None)})
         monkeypatch.setattr(verify, "_eval_claim", every)
         config = SearchConfig(Theorem.T1_8, a_values=(5,), p_values=(0.5,), samples=513, seed=16)
         assert config.samples == verify._BLOCK + 1
         _, whole = verify._run_block(Theorem.T1_8, 5, 0.5, config.seed, 0, config.samples)
         split = run_search(config).violations
-        assert whole == list(split)
+        assert whole == list(split) and len(whole) == config.samples
         for i, v in enumerate(whole):
             D = sample_digraph(config.seed, 5, 0.5, i)
             assert v.sample_index == i
@@ -565,23 +580,80 @@ class TestSearch:
 
     @pytest.mark.parametrize("theorem", CERTIFIABLE)
     def test_prefilter_matches_hypotheses(self, theorem):
-        # the search's per-cell counts are exactly what certify concludes
-        config = SearchConfig(theorem, a_values=(4, 5), p_values=(0.7, 0.9), samples=60, seed=1)
+        # the search's per-cell counts are exactly what certify concludes,
+        # on dense cells, the benchmark's grid and one a = 3 cell
+        grids = [((4, 5), (0.7, 0.9)), ((4, 5, 6), (0.3, 0.5, 0.7)), ((3,), (0.9,))]
+        for a_values, p_values in grids:
+            config = SearchConfig(theorem, a_values, p_values, samples=60, seed=1)
+            report = run_search(config)
+            for cell in report.cells:
+                verdicts = [
+                    verify_theorem(sample_digraph(config.seed, cell.a, cell.p, i), theorem)
+                    for i in range(config.samples)
+                ]
+                assert cell.satisfying == sum(v.outcome != "hypotheses-not-met" for v in verdicts)
+                assert cell.violations == sum(v.outcome == "violation" for v in verdicts) == 0
+            assert report.hypothesis_satisfying > 0 or a_values == (3,)
+
+    def test_premise_miss_is_not_satisfying(self):
+        # Some samples pass every gate of lemma 3.4 and miss its premise (two
+        # of these 60); the search counts them out, as certify does.
+        config = SearchConfig(Theorem.L3_4, a_values=(4,), p_values=(0.7,), samples=60, seed=0)
+        verdicts = [
+            verify_theorem(sample_digraph(config.seed, 4, 0.7, i), Theorem.L3_4)
+            for i in range(config.samples)
+        ]
+        miss = (
+            "cycle premise: no longest non-Hamiltonian cycle of length >= 4"
+            " with a gap-1 bypass"
+        )
+        assert sum(v.hypotheses.failures == (miss,) for v in verdicts) == 2
+        satisfying = sum(v.hypotheses.satisfied for v in verdicts)
+        assert run_search(config).hypothesis_satisfying == satisfying > 0
+
+    # The lengths a stand-in engine misses, by statement and side size a, so
+    # that a sample meeting the hypotheses gets a violation.
+    MISSED = {
+        Theorem.T1_6: lambda a: {2},
+        Theorem.T1_7: lambda a: {2 * a},
+        Theorem.T1_8: lambda a: {2 * a - 2},
+        Theorem.T1_9: lambda a: {2},  # the certificate's; the premise still finds 2a - 2
+        Theorem.T1_10: lambda a: {2},
+        Theorem.L3_2: lambda a: set(range(4, 2 * a, 2)),
+        Theorem.L3_4: lambda a: {2 * a - 2},  # the premise's scan then stops at 2a - 4
+    }
+
+    @pytest.mark.parametrize("theorem", CERTIFIABLE)
+    def test_search_and_certify_share_claim_text(self, monkeypatch, theorem):
+        # With the index engine verify reaches (directly, and through the
+        # longest-cycle scan) missing a length, the search reports each
+        # violation with the claim text certify gives on the same sample.
+        search = cycles._find_cycles
+
+        def missing(D, lengths):
+            found = search(D, lengths)
+            for m in self.MISSED[theorem](D.a):
+                found.pop(m, None)
+            return found
+
+        monkeypatch.setattr(verify, "_find_cycles", missing)
+        monkeypatch.setattr(cycles, "_find_cycles", missing)
+        config = SearchConfig(theorem, a_values=(4, 5), p_values=(0.7, 0.9), samples=40, seed=3)
         report = run_search(config)
-        for cell in report.cells:
-            verdicts = [
-                verify_theorem(sample_digraph(config.seed, cell.a, cell.p, i), theorem)
-                for i in range(config.samples)
-            ]
-            assert cell.satisfying == sum(v.outcome != "hypotheses-not-met" for v in verdicts)
-            assert cell.violations == sum(v.outcome == "violation" for v in verdicts) == 0
-        assert report.hypothesis_satisfying > 0
+        assert len(report.violations) == report.hypothesis_satisfying > 0
+        for v in report.violations:
+            D = sample_digraph(config.seed, v.a, v.p, v.sample_index)
+            conclusion = verify_theorem(D, theorem).conclusion
+            assert conclusion.kind == "violation"
+            assert v.claim == f"claim {theorem.value}: " + conclusion.claim
+            assert v.serialization == conclusion.serialization
 
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_hypotheses_hold_matches_report(self, theorem):
-        # the search's early-stop walk, in its own order, agrees with
+        # the search's screen, in its own order and dropping a sample at its
+        # first failing gate, then the premise on the survivors, agree with
         # certify's full report, here and on the benchmark's grid
-        row = conditions._search_row(conditions._CLAUSES[theorem])
+        row = conditions._CLAUSES[theorem]
         cells = [(a, p) for a in (3, 4, 5) for p in (0.7, 0.9)]
         cells += [(a, p) for a in (4, 5, 6) for p in (0.3, 0.5, 0.7)]
         digraphs = [sample_digraph(2, a, p, i) for a, p in cells for i in range(100)]
@@ -590,9 +662,10 @@ class TestSearch:
         for D in digraphs:
             report = check_theorem_hypotheses(D, theorem)
             if isinstance(D, BipartiteDigraph):  # the search draws no other kind
-                failed, premise = conditions._walk(D, row, stop=True)
-                assert (not failed) == report.satisfied
-                assert len(failed) <= 1
+                calls, passed, premise = _screened(D, row)
+                assert all(result for _, result in calls[:-1])
+                assert passed == all(result for _, result in calls)
+                assert (passed and (premise is not None or row[1] is None)) == report.satisfied
                 assert premise == report._premise
             satisfied += report.satisfied
         assert 0 < satisfied < len(digraphs)
@@ -638,8 +711,8 @@ class TestSearch:
             assert 0 < sweeps < len(walks) / 5
 
     def test_premise_runs_only_after_every_gate(self, monkeypatch):
-        # Every cycle search goes through the driver: the premise's by way
-        # of find_cycle_of_length, the certificate's directly.
+        # Every cycle search goes through the driver, the premise's and the
+        # certificate's alike.
         calls = []
         search = cycles._find_cycles
 
@@ -647,8 +720,8 @@ class TestSearch:
             calls.append(tuple(m for m in range(lengths.bit_length()) if lengths >> m & 1))
             return search(D, lengths)
 
-        monkeypatch.setattr(cycles, "_find_cycles", counting)
-        monkeypatch.setattr(verify, "_find_cycles", counting)
+        for module in (cycles, conditions, verify):
+            monkeypatch.setattr(module, "_find_cycles", counting)
         not_strong = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
         verdict = verify_theorem(not_strong, Theorem.T1_9)
         assert verdict.outcome == "hypotheses-not-met"
@@ -720,11 +793,13 @@ class TestSearch:
         assert peak < 1_000_000
 
     def test_violation_path(self, monkeypatch, capsys, tmp_path):
-        # No shipped claim ever fails, so a stand-in evaluator flags every
-        # sample with an even arc count to drive the violation path.
-        def fake(row, conclude, D):
+        # No shipped claim ever fails, so a stand-in row with no gates lets
+        # every sample through the screen, and a stand-in evaluator flags
+        # every sample with an even arc count to drive the violation path.
+        def fake(premise, conclude, D):
             return 1, (["even arc count"] if D.arc_count % 2 == 0 else [])
 
+        monkeypatch.setattr(verify, "_CLAUSES", {Theorem.T1_8: ((), None)})
         monkeypatch.setattr(verify, "_eval_claim", fake)
         config = SearchConfig(
             Theorem.T1_8, a_values=(4, 5), p_values=(0.5,), samples=600, seed=9
@@ -799,12 +874,12 @@ class TestSearch:
 
     def test_claim_1_9_reuses_its_premise_cycle(self, monkeypatch):
         # the premise's (2a - 2)-cycle is the certificate's top witness, found
-        # once: by a one-length premise search (find_cycle_of_length, through
-        # the cycles module's driver), while the certificate's one search
-        # (verify's driver) asks for every even length below it
-        calls = {"cycles": [], "verify": []}
+        # once: by a one-length premise search (the conditions module's call
+        # of the driver), while the certificate's one search (verify's call)
+        # asks for every even length below it
+        calls = {"conditions": [], "verify": []}
         search = cycles._find_cycles
-        for module in (cycles, verify):
+        for module in (conditions, verify):
             def counted(D, lengths, key=module.__name__.rsplit(".", 1)[1]):
                 calls[key].append((D.a, lengths))
                 return search(D, lengths)
@@ -812,16 +887,16 @@ class TestSearch:
             monkeypatch.setattr(module, "_find_cycles", counted)
         report = run_search(SearchConfig(Theorem.T1_9, samples=200, seed=1))
         assert report.hypothesis_satisfying == 69
-        assert len(calls["cycles"]) == len(calls["verify"]) == 69
-        assert all(lengths == 1 << 2 * a - 2 for a, lengths in calls["cycles"])
+        assert len(calls["conditions"]) == len(calls["verify"]) == 69
+        assert all(lengths == 1 << 2 * a - 2 for a, lengths in calls["conditions"])
         assert all(
             lengths == sum(1 << m for m in range(2, 2 * a - 2, 2))
             for a, lengths in calls["verify"]
         )
-        calls.update(cycles=[], verify=[])
+        calls.update(conditions=[], verify=[])
         verdict = verify_theorem(complete_bipartite(4), Theorem.T1_9)
         assert verdict.conclusion.lengths() == (2, 4, 6)
-        assert calls == {"cycles": [(4, 1 << 6)], "verify": [(4, 1 << 2 | 1 << 4)]}
+        assert calls == {"conditions": [(4, 1 << 6)], "verify": [(4, 1 << 2 | 1 << 4)]}
 
     def test_lemma_targets_run_clean(self):
         for target in (Theorem.L3_2, Theorem.L3_3, Theorem.L3_4):
@@ -1037,14 +1112,17 @@ def test_claim_1_9_sweeps_each_component_once(monkeypatch):
 
     for module in (digraph, cycles, conditions):
         monkeypatch.setattr(module, "_reach", recording)
-    row = conditions._search_row(conditions._CLAUSES[Theorem.T1_9])
+    row = conditions._CLAUSES[Theorem.T1_9]
     conclude = verify._CONCLUSIONS[Theorem.T1_9]
     samples, satisfying = [], 0
     for a in (4, 5, 6):
         for p in (0.3, 0.5, 0.7):
             block = verify._draw_block(a, p, verify._sample_seeds(16, a, p, 0, 200))
             samples.extend(block)
-            satisfying += sum(verify._eval_claim(row, conclude, D)[0] for D in block)
+            satisfying += sum(
+                verify._eval_claim(row[1], conclude, D)[0]
+                for D in conditions._screen(row, block)
+            )
     assert satisfying > 30
     assert calls and len(calls) == len(set(calls))
 

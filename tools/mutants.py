@@ -56,33 +56,33 @@ MUTANTS = (
     Mutant(
         "certificate-from-length-4",
         "verify.py",
-        "    for m in range(2, top + 1, 2):\n        if m in found:",
-        "    for m in range(4, top + 1, 2):\n        if m in found:",
+        "    for m in range(2, top + 1, 2):\n        if m not in found:",
+        "    for m in range(4, top + 1, 2):\n        if m not in found:",
     ),
     Mutant(
         "1.7-takes-a-6-cycle-at-order-8",
         "verify.py",
-        "ham = find_cycle_of_length(D, D.n)",
-        "ham = find_cycle_of_length(D, D.n - 2 if D.n == 8 else D.n)",
+        "ham = _find_cycles(D, 1 << D.n).get(D.n)",
+        "ham = _find_cycles(D, 1 << D.n - 2 * (D.n == 8)).get(D.n - 2 * (D.n == 8))",
     ),
     Mutant(
         "3.2-takes-a-2-cycle",
         "verify.py",
-        "if cycle is not None and cycle.length >= 4:",
-        "if cycle is not None and cycle.length >= 2:",
+        "if cycle is not None and len(cycle) >= 4:",
+        "if cycle is not None and len(cycle) >= 2:",
     ),
     Mutant(
         "1.8-takes-a-2a-4-cycle",
         "verify.py",
-        "    cycle = find_cycle_of_length(D, 2 * D.a - 2)\n",
-        "    cycle = find_cycle_of_length(D, 2 * D.a - 2)"
-        " or find_cycle_of_length(D, 2 * D.a - 4)\n",
+        "    cycle = _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2)\n",
+        "    cycle = _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2)"
+        " or _find_cycles(D, 1 << 2 * D.a - 4).get(2 * D.a - 4)\n",
     ),
     Mutant(
         "3.4-length-at-least",
         "verify.py",
-        "if cycle.length == 2 * D.a - 2:",
-        "if cycle.length >= 2 * D.a - 2:",
+        "if len(cycle) == 2 * D.a - 2:",
+        "if len(cycle) >= 2 * D.a - 2:",
         "a non-Hamiltonian cycle in a balanced bipartite host has length at most 2a - 2",
     ),
     Mutant(
@@ -119,6 +119,33 @@ MUTANTS = (
         "cycles.py",
         "if below and below >> depth + 3 & 1 and (",
         "if False and (",
+    ),
+    Mutant(
+        "screen-drops-its-last-gate",
+        "conditions.py",
+        "    for clause in _search_row(row)[0]:\n",
+        "    for clause in _search_row(row)[0][:-1]:\n",
+    ),
+    Mutant(
+        "missed-premise-counts-as-satisfying",
+        "verify.py",
+        "        if found is None:\n            return 0, []\n",
+        "        if found is None:\n            return 1, []\n",
+    ),
+    Mutant(
+        "longest-scan-goes-on-after-a-hit",
+        "cycles.py",
+        "    for m in range(D.n - step, 1, -step):\n"
+        "        hit = _find_cycles(D, 1 << m).get(m)\n"
+        "        if hit is not None:\n"
+        "            return hit\n"
+        "    return None\n",
+        "    first = None\n"
+        "    for m in range(D.n - step, 1, -step):\n"
+        "        hit = _find_cycles(D, 1 << m).get(m)\n"
+        "        if first is None:\n"
+        "            first = hit\n"
+        "    return first\n",
     ),
 )
 
