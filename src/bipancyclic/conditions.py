@@ -15,18 +15,22 @@ gate held.  check_theorem_hypotheses walks the gates in report order and
 reports every failing one (_walk); the search screens a whole block of
 samples with the gates, cheapest and most selective first, and drops each
 sample at its first failure, which changes no count (_screen, _search_row).
+The order and B_k gates also decide a whole block at once from its arc
+digits (_bk_block), so the search builds only the samples that pass them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from itertools import compress
+from typing import Callable, NamedTuple
 
 # find_cycle_of_length is not called here; bench/cliload.py's traced run
 # wraps the name in this module.
 from .cycles import _find_cycles, _longest_non_hamiltonian, find_cycle_of_length
-from .digraph import BipartiteDigraph, Digraph, DominatingPair, _reach, _require_int
+from .digraph import BipartiteDigraph, Digraph, DominatingPair, _build_block, _reach, _require_int
 from .errors import BadParams
 
 
@@ -138,6 +142,10 @@ def bk_holds(D: BipartiteDigraph, k: int) -> bool:
     pair never shares an out-neighbor.  ROADMAP item H's structural lemma
     starts from this rule.  Must agree with check_bk(D, k).holds on every
     input; the test suite enforces that.
+
+    This is certify's path, one digraph at a time.  The search decides a
+    whole block of samples from their arc digits instead (_bk_block), which
+    shares no code with this rule and must agree with it sample for sample.
     """
     threshold = 2 * D.a - 2 + k
     covered = 0  # union of the out-sets of the low vertices seen so far
@@ -150,6 +158,44 @@ def bk_holds(D: BipartiteDigraph, k: int) -> bool:
                 return False
             covered |= out
     return True
+
+
+def _bk_block(k: int, a: int, digits: bytearray, count: int) -> int:
+    """bk_holds(D, k) for each of count samples at once, read from their
+    arc digits as digraph._arc_digits lays them out: bit count - 1 - s of
+    the result is set iff sample s passes.
+
+    Bit-sliced: plane j holds slot j's digit of every sample, one bit each
+    (the first sample highest), so each step below is one big-int operation
+    for the whole block.  A vertex has exactly 2a arc slots, a out and a in,
+    so its total degree is below 2a - 2 + k iff at least 3 - k of them are
+    empty, which three saturating counters per vertex test.  bk_holds also
+    asks a low vertex for an out-arc, but a vertex without one shares no
+    head, so the test is left out here.  A sample fails iff two low tails
+    share a head; a head's tails all lie on the other side.  On a single
+    sample this takes 22, 45 and 158 us at a = 4, 6 and 12, against
+    bk_holds' 0.4-0.5 us, so certify keeps bk_holds.
+    """
+    n, m, full = 2 * a, 2 * a * a, (1 << count) - 1
+    planes = [int(digits[j::m], 2) for j in range(m)]
+    empties = [full ^ plane for plane in planes]
+    low = []
+    for v in range(n):
+        first = a * a if v < a else 0  # the in-slots of v: slot t * a + v % a
+        at_least = [full, 0, 0, 0]  # samples with at least 0..3 empty slots at v
+        for empty in empties[v * a : v * a + a] + empties[first + v % a : first + a * a : a]:
+            at_least[3] |= at_least[2] & empty
+            at_least[2] |= at_least[1] & empty
+            at_least[1] |= empty
+        low.append(at_least[max(0, 3 - k)])
+    shared = 0  # samples where two low tails share a head
+    for head in range(n):
+        once = 0
+        for tail in range(a, n) if head < a else range(a):
+            hit = low[tail] & planes[tail * a + head % a]
+            shared |= once & hit
+            once |= hit
+    return full ^ shared
 
 
 def check_two_sided_condition(D: BipartiteDigraph) -> tuple[bool, DominatingPair | None]:
@@ -187,13 +233,16 @@ class _Clause(NamedTuple):
     """A hypothesis clause: a predicate plus a builder for its failure
     message, which runs only when the predicate fails.  A gate's predicate
     returns a bool; a premise's returns the index list of the cycle it
-    found, or None.  rank
-    is a gate's place in the search's walk (see _search_row); a premise
-    always runs last and has none."""
+    found, or None.  rank is a gate's place in the search's walk (see
+    _search_row); a premise always runs last and has none.  A gate may also
+    have a block form, which decides a whole block of samples from their
+    arc digits: block(a, digits, count) is a mask whose bit count - 1 - s
+    says whether sample s passes (see _bk_block)."""
 
     holds: Callable[[BipartiteDigraph], object]
     explain: Callable[[BipartiteDigraph], str]
     rank: int | None = None
+    block: Callable[[int, bytearray, int], int] | None = None
 
 
 # A statement's hypotheses: its gates in report order, then its premise.
@@ -208,6 +257,7 @@ def _order(min_side: int) -> _Clause:
         lambda D: D.a >= min_side,
         lambda D: f"order: needs side size >= {min_side}, got {D.a}",
         _ORDER,
+        lambda a, digits, count: (1 << count) - 1 if a >= min_side else 0,
     )
 
 
@@ -221,7 +271,7 @@ def _bk(k: int) -> _Clause:
             f"{report.worst_degree} < {report.threshold}"
         )
 
-    return _Clause(lambda D: bk_holds(D, k), explain, _DEGREE)
+    return _Clause(lambda D: bk_holds(D, k), explain, _DEGREE, partial(_bk_block, k))
 
 
 def _explain_two_sided(D: BipartiteDigraph) -> str:
@@ -320,29 +370,50 @@ def _search_row(row: _Row) -> _Row:
     sample at its first failure, cannot change that answer or any count;
     only the time it takes.  check_theorem_hypotheses lists every failure,
     so it keeps report order.  Per search-sparse sample (claim 1.9, a = 4..6,
-    p = .3/.5/.7; Python 3.11 on a shared 2-core host): the order test is
-    free; bk_holds takes about 1.0 us, and B_0 rejects 95.4% of samples and
-    B_1 99.3%; strong connectivity takes 2.6-2.8 us (two reachability sweeps
-    unless a mask is empty) and rejects about 50%; the two-sided condition
-    takes 6.9 us and passes 0.7%, so it goes after strong connectivity, or
-    claim 1.6 gets slower.  The shape test runs on so few samples that its
-    place does not matter.
+    p = .3/.5/.7, blocks of 200; Python 3.11 on a shared 2-core host): the
+    order test's block form costs about 0.01 us; B_0's block form 0.24,
+    0.33 and 0.44 us at a = 4, 5 and 6 (bk_holds, certify's path, 0.4-0.5
+    us), and B_0 rejects 95.6% of samples and B_1 99.3%, which are then
+    never built; strong connectivity takes 2.2 us per sample built (two
+    reachability sweeps unless a mask is empty) and rejects 12% of them;
+    the two-sided condition takes 4.7-4.9 us and passes 0.7%, so it goes
+    after strong connectivity, or claim 1.6 gets slower.  The shape test
+    runs on so few samples that its place does not matter.
     """
     gates, premise = row
     return tuple(sorted(gates, key=lambda clause: clause.rank)), premise
 
 
-def _screen(row: _Row, digraphs: Iterable[BipartiteDigraph]) -> Iterable[BipartiteDigraph]:
-    """The digraphs that pass every gate of row, in their order.
+def _screen(
+    row: _Row, a: int, digits: bytearray, count: int
+) -> list[tuple[int, BipartiteDigraph]]:
+    """The samples of one block that pass every gate of row, each with its
+    offset in the block, in order; digits are the block's arc digits
+    (digraph._arc_digits).
 
-    The gates are chained as filters in _search_row's order, so the loop
-    over the samples runs in C: each sample meets the gates one at a time
-    and leaves at the first that rejects it, and no gate runs twice on it.
-    The premise is not run.
+    The gates run in _search_row's order.  Those with a block form decide
+    the whole block at once, so only the samples that pass them are built
+    (_build_block), from their own runs of digits; each other gate then
+    runs once on each sample still left.  A sample leaves at the first gate
+    that rejects it, and no gate runs twice on it.  The premise is not run.
     """
+    mask, rest = (1 << count) - 1, []
     for clause in _search_row(row)[0]:
-        digraphs = filter(clause.holds, digraphs)
-    return digraphs
+        if clause.block is None:
+            rest.append(clause.holds)
+        elif mask:
+            mask &= clause.block(a, digits, count)
+    if not mask:
+        return []
+    offsets = list(compress(range(count), map("1".__eq__, f"{mask:0{count}b}")))
+    if len(offsets) < count:
+        m = 2 * a * a
+        digits = bytearray().join([digits[i * m : i * m + m] for i in offsets])
+    digraphs = _build_block(a, digits, len(offsets))
+    for holds in rest:
+        passed = list(map(holds, digraphs))
+        offsets, digraphs = list(compress(offsets, passed)), list(compress(digraphs, passed))
+    return list(zip(offsets, digraphs))
 
 
 def check_theorem_hypotheses(D: Digraph, theorem: Theorem) -> HypothesisReport:

@@ -441,28 +441,35 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
     part of the key the draws are coupled monotonically in p: for p <= p' at
     the same (a, seed), every arc drawn at p is drawn at p' too.
 
-    This is a block of one seed: the search draws a block of samples at a
-    time (``_draw_block``) from the same per-sample digests, under the same
-    contract.  Raises BadParams for a side size or seed that is not an int,
-    and for a p that is not a number in [0, 1].
+    This is a block of one seed, built whole: ``_draw_block`` draws any
+    number of seeds under the same contract, and the search screens a
+    block's arc digits (``_arc_digits``) before it builds any sample from
+    them.  Raises BadParams for a side size or seed that is not an int, and
+    for a p that is not a number in [0, 1].
     """
     _require_int(seed, "seed")
     return _draw_block(a, p, [seed])[0]
 
 
 def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph]:
-    """random_bipartite(a, p, seed) for each of one or more seeds, in order.
+    """random_bipartite(a, p, seed) for each of one or more seeds, in order:
+    the block's arc digits (_arc_digits), every sample built from them
+    (_build_block)."""
+    return _build_block(a, _arc_digits(a, p, seeds), len(seeds))
+
+
+def _arc_digits(a: int, p: float, seeds: Sequence[int]) -> bytearray:
+    """One ASCII digit per arc slot and seed, "1" iff the slot holds an arc
+    in random_bipartite(a, p, seed): each sample's 2a^2 digits in canonical
+    slot order, samples end to end in seed order.
 
     Every step after hashing runs once over the whole block: the samples'
-    draws, digits and masks sit end to end in a few byte strings and big
-    ints.  Each arc slot's digits, one per sample, form one strided slice,
-    which is written straight into the tail's out-field and the head's
-    in-field of every sample at once; what is left per sample is its
-    digest, two list slices and two tuples.
+    draws and digits sit end to end in a few byte strings and big ints.
+    Raises BadParams as random_bipartite does.
     """
     _require_int(a, "side size", 1)
     _require_probability(p)
-    n, m, count = 2 * a, 2 * a * a, len(seeds)  # order, arc slots per sample, samples
+    m, count = 2 * a * a, len(seeds)  # arc slots per sample, samples
     digests = b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m) for seed in seeds)
     # Slot k holds an arc iff U_k < T, where U_k = 256 * hi + lo is its draw
     # and T = 256 * top + bottom the threshold, that is iff hi < top, or
@@ -477,13 +484,25 @@ def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph
     his, los = digests[1::2], digests[0::2]
     # A bytearray, since a bytes slice written into a bytearray is first
     # copied into a new one: 7x the cost of each write in a one-sample block.
-    digits = bytearray(
+    return bytearray(
         (
             int.from_bytes(his.translate(below_top), "big")
             | int.from_bytes(his.translate(at_top), "big")
             & int.from_bytes(los.translate(below_bottom), "big")
         ).to_bytes(m * count, "big")
     )
+
+
+def _build_block(a: int, digits: bytearray, count: int) -> list[BipartiteDigraph]:
+    """The count samples whose arc digits (as _arc_digits lays them out) are
+    digits, in order.
+
+    Each arc slot's digits, one per sample, form one strided slice, which is
+    written straight into the tail's out-field and the head's in-field of
+    every sample at once; what is left per sample is two list slices and two
+    tuples.
+    """
+    n, m = 2 * a, 2 * a * a  # order, arc slots per sample
     # Each sample gets 2n fields of the smallest machine word that holds n
     # bits, written as binary digits: its n out-masks, then its n in-masks,
     # both in vertex order.  Bit j of a field is the digit width - 1 - j

@@ -11,8 +11,9 @@ appear, and the test suite treats one as a loud failure.  Lemma 3.3 has no
 verdict: its unit is a (cycle, vertex) pair, so only the search replays it.
 
 The search harness samples seeded random digraphs over an (a, p) grid,
-screens each drawn block with the statement's gates, and runs the premise
-and the same conclusion routine certify runs on each survivor.  Every
+screens each drawn block with the statement's gates (order and B_k on the
+block's arc digits, before any sample is built), and runs the premise and
+the same conclusion routine certify runs on each survivor.  Every
 sample's seed is a pure function of (config seed, a, p, sample index), so
 reports are reproducible count-for-count regardless of worker count or
 platform.
@@ -58,8 +59,8 @@ from .digraph import (
     BipartiteDigraph,
     Digraph,
     Vertex,
+    _arc_digits,
     _bits,
-    _draw_block,
     _require_int,
     _require_probability,
     random_bipartite,
@@ -672,30 +673,31 @@ def _run_block(
     """Evaluate sample indices [start, stop) of one cell; returns the
     satisfying count and the violation records, picklable for workers.
 
-    The block's samples are drawn in one pass; sample i is the digraph
-    sample_digraph(seed, a, p, i) returns.  A claim's gates screen the
-    whole block first (_screen), so a rejected sample costs only the gate
-    calls that reject it, and only the survivors reach _eval_claim.
+    Sample i is the digraph sample_digraph(seed, a, p, i) returns.  The
+    block's arc digits are drawn in one pass; a claim's gates screen the
+    whole block from them (_screen), so only the samples that pass the order
+    and B_k gates are built, a rejected sample costs no digraph, and only
+    the survivors reach _eval_claim, each with its offset in the block.
+    Lemma 3.3's row has no gates, so every sample is built for it.
     """
-    block = _draw_block(a, p, _sample_seeds(seed, a, p, start, stop))
+    seeds = _sample_seeds(seed, a, p, start, stop)
+    row = _CLAUSES[target]
+    survivors = _screen(row, a, _arc_digits(a, p, seeds), len(seeds))
     if target is Theorem.L3_3:
-        survivors, evaluate = block, _eval_l3_3
+        evaluate = _eval_l3_3
     else:
-        row = _CLAUSES[target]
-        survivors = _screen(row, block)
         evaluate = partial(_eval_claim, row[1], _CONCLUSIONS[target])
     label = f"claim {target.value}: "
     satisfying = 0
     violations: list[ViolationRecord] = []
-    for D in survivors:
+    for offset, D in survivors:
         units, claims = evaluate(D)
         satisfying += units
         if claims:
-            # by identity: two samples of one block can be equal digraphs
-            i = next(k for k, E in enumerate(block, start) if E is D)
             text = serialize(D)
             violations.extend(
-                ViolationRecord(target, a, p, i, label + claim, text, seed) for claim in claims
+                ViolationRecord(target, a, p, start + offset, label + claim, text, seed)
+                for claim in claims
             )
     return satisfying, violations
 

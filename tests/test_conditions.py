@@ -22,16 +22,19 @@ from bipancyclic.conditions import (
     _CLAUSES,
     _STRONG,
     _TWO_SIDED,
+    _bk_block,
     _bypassed_longest,
+    _order,
     _screen,
     _search_row,
     bk_holds,
 )
 from bipancyclic.cycles import _as_cycle
+from bipancyclic.digraph import _arc_digits, _build_block
 from bipancyclic.errors import BadParams
 from bipancyclic.naive import naive_bypasses, naive_dominating_pairs
 
-from test_digraph import bipartite_digraphs
+from test_digraph import bipartite_digraphs, probabilities, seeds
 
 
 def _degrees_from_arcs(D):
@@ -115,6 +118,56 @@ class TestCheckBk:
             assert (r.worst_pair.u, r.worst_pair.v, r.worst_pair.witness) == worst
             assert r.worst_degree == max(degree[worst[0]], degree[worst[1]])
             assert r.holds == (r.worst_degree >= 2 * D.a - 2 + k)
+
+
+def _passing(mask, count):
+    """The sample offsets a block mask passes: bit count - 1 - s is sample s."""
+    return [s for s in range(count) if mask >> count - 1 - s & 1]
+
+
+class TestBlockRule:
+    """The search's block form of each gate against its per-digraph
+    predicate, sample for sample."""
+
+    # the bench grid, a = 1..3, and the empty and complete draws
+    CELLS = [(a, p) for a in (4, 5, 6) for p in (0.3, 0.5, 0.7)]
+    CELLS += [(a, p) for a in (1, 2, 3) for p in (0.5, 0.7, 0.9)]
+    CELLS += [(a, p) for a in (1, 2, 3, 4, 6, 12) for p in (0.0, 1.0)]
+
+    @staticmethod
+    def check(a, p, block_seeds, ks=range(4)):
+        count = len(block_seeds)
+        digits = _arc_digits(a, p, block_seeds)
+        block = _build_block(a, digits, count)
+        for k in ks:
+            want = [s for s, D in enumerate(block) if bk_holds(D, k)]
+            assert _passing(_bk_block(k, a, digits, count), count) == want, (a, p, k)
+        return block
+
+    @pytest.mark.parametrize("count", [1, 12, 512])
+    @pytest.mark.parametrize(("a", "p"), CELLS)
+    def test_bk_block_matches_bk_holds(self, a, p, count):
+        block = self.check(a, p, range(1000, 1000 + count))
+        if p == 1.0 and a > 1:  # every degree is 2a: B_2 holds, B_3 fails
+            assert all(bk_holds(D, 2) and not bk_holds(D, 3) for D in block)
+
+    @given(st.integers(1, 12), probabilities, seeds, st.integers(1, 40))
+    def test_bk_block_matches_on_drawn_blocks(self, a, p, seed, count):
+        self.check(a, p, range(seed, seed + count))
+
+    @given(bipartite_digraphs(max_a=4), st.integers(0, 3))
+    def test_bk_block_matches_on_any_digraph(self, D, k):
+        assert _bk_block(k, D.a, _digits(D), 1) == bk_holds(D, k)
+
+    def test_order_block_matches_order(self):
+        for a in range(1, 13):
+            digits = _arc_digits(a, 0.5, range(3))
+            block = _build_block(a, digits, 3)
+            for min_side in range(1, 14):
+                clause = _order(min_side)
+                want = [s for s, D in enumerate(block) if clause.holds(D)]
+                assert _passing(clause.block(a, digits, 3), 3) == want
+                assert want in ([], [0, 1, 2])
 
 
 class TestTwoSidedCondition:
@@ -220,10 +273,22 @@ def _neither():
     return BipartiteDigraph(4, [("x0", "y0"), ("x1", "y0")])
 
 
+def _digits(D):
+    """D's arc digits, laid out as digraph._arc_digits lays out a sample's:
+    one ASCII digit per arc slot, tails in order, heads ascending."""
+    a, n = D.a, D.n
+    return bytearray(
+        48 + (D._out[tail] >> head & 1)
+        for tail in range(n)
+        for head in (range(a, n) if tail < a else range(a))
+    )
+
+
 def _screened(D, row):
-    """The search's screen on D alone: the gates it called, in order, each
-    with its result, whether D passed, and the premise's index list (None
-    unless D passed and the premise found a cycle)."""
+    """The search's screen on a block of D alone, built from D's own arc
+    digits: the gates it called, in order, each with its result (a block
+    form counts once for the block), whether D passed, and the premise's
+    index list (None unless D passed and the premise found a cycle)."""
     calls = []
 
     def counted(clause):
@@ -232,10 +297,17 @@ def _screened(D, row):
             calls.append((clause, result))
             return result
 
-        return clause._replace(holds=holds)
+        def block(a, digits, count):
+            mask = clause.block(a, digits, count)
+            calls.append((clause, bool(mask)))
+            return mask
+
+        return clause._replace(holds=holds, block=clause.block and block)
 
     gates, premise = row
-    passed = list(_screen((tuple(map(counted, gates)), premise), [D])) == [D]
+    screened = _screen((tuple(map(counted, gates)), premise), D.a, _digits(D), 1)
+    assert [offset for offset, _ in screened] in ([], [0])
+    passed = [E for _, E in screened] == [D]
     found = premise.holds(D) if passed and premise is not None else None
     return calls, passed, found
 

@@ -27,7 +27,7 @@ from bipancyclic import (
     sample_digraph,
     serialize,
 )
-from bipancyclic.digraph import _draw_block, _reach
+from bipancyclic.digraph import _arc_digits, _build_block, _draw_block, _reach
 from bipancyclic.errors import (
     BadParams,
     DuplicateArc,
@@ -444,6 +444,22 @@ class TestRandomBipartite:
         for D, seed in zip(_draw_block(a, 0.5, seeds), seeds):
             want = _contract_draw(a, 0.5, seed)
             assert D == want and D._in == want._in
+
+    @pytest.mark.parametrize("a", [1, 4, 12])
+    def test_samples_build_from_their_own_digits(self, a):
+        # The search builds only the samples its screen keeps, from their
+        # runs of the block's arc digits: each comes out as drawn whole.
+        m, seeds = 2 * a * a, range(40, 552)
+        for p in (0.0, 0.3, 1.0):
+            digits = _arc_digits(a, p, seeds)
+            assert len(digits) == m * len(seeds) and set(digits) <= set(b"01")
+            block = _build_block(a, digits, len(seeds))
+            assert block == _draw_block(a, p, seeds)
+            for kept in ([0], [511], [3, 4, 200, 510], list(range(0, 512, 7))):
+                rows = bytearray().join(digits[i * m : i * m + m] for i in kept)
+                built = _build_block(a, rows, len(kept))
+                assert built == [block[i] for i in kept]
+                assert [D._in for D in built] == [block[i]._in for i in kept]
 
     @given(sides, probabilities, probabilities, seeds)
     def test_monotone_coupling_in_p(self, a, p, q, seed):

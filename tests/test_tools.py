@@ -72,3 +72,28 @@ def test_mutant_table_texts_occur_once():
         assert m.old != m.new, m.name
         assert sources[package / m.file].count(m.old) == 1, m.name
         assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
+
+
+def test_mutant_timeout_counts_as_killed(monkeypatch, capsys):
+    # A suite that runs past the time limit kills its mutant, printed as a
+    # timeout; a passing suite lets it survive, a failing one kills it.
+    mutants = _load("mutants")
+    name = mutants.MUTANTS[0].name
+    seen = []
+
+    def suite(result):
+        def fake_run(args, **kwargs):
+            seen.append(kwargs["timeout"])
+            if result is None:
+                raise mutants.subprocess.TimeoutExpired(args, kwargs["timeout"])
+            return mutants.subprocess.CompletedProcess(args, result, "", "")
+
+        return fake_run
+
+    for result, outcome, code in ((None, "timeout", 0), (1, "killed", 0), (0, "survived", 1)):
+        monkeypatch.setattr(mutants.subprocess, "run", suite(result))
+        assert mutants.main([name]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == [outcome, name]
+        assert lines[1].endswith(name if outcome == "survived" else "none")
+    assert seen == [mutants.TIMEOUT] * 3

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -671,12 +672,15 @@ class TestSearch:
         assert 0 < satisfied < len(digraphs)
 
     def test_search_tests_bk_before_strong_connectivity(self, monkeypatch):
-        # Counting wrappers around every gate: the search sweeps for strong
-        # connectivity only on samples that passed order and B_k, tests each
-        # gate at most once per sample, and reports what it reported before.
+        # Counting wrappers around every gate: order and B_k decide each
+        # block once from its arc digits, so each sample once; the search
+        # sweeps for strong connectivity only on samples that passed both,
+        # tests each gate at most once per sample, and reports what it
+        # reported before.
         targets = (Theorem.T1_7, Theorem.T1_9, Theorem.L3_2)
         configs = [SearchConfig(t, samples=150, seed=4) for t in targets]
         plain = [run_search(config).render() for config in configs]
+        blocks = []  # (gate, block size, mask) per block-form call
         calls = []  # (sample, gate, result); holding D keeps its id unique
 
         def counted(clause):
@@ -685,7 +689,12 @@ class TestSearch:
                 calls.append((D, clause.explain, result))
                 return result
 
-            return clause._replace(holds=holds)
+            def block(a, digits, count):
+                mask = clause.block(a, digits, count)
+                blocks.append((clause.explain, count, mask))
+                return mask
+
+            return clause._replace(holds=holds, block=clause.block and block)
 
         rows = {
             t: (tuple(map(counted, gates)), premise)
@@ -695,20 +704,27 @@ class TestSearch:
         strong = conditions._STRONG.explain
         for config, expected in zip(configs, plain):
             calls.clear()
+            blocks.clear()
             assert run_search(config).render() == expected
+            order, bk = conditions._search_row(conditions._CLAUSES[config.target])[0][:2]
+            # one block per cell, each decided by order, then B_k, once
+            assert [gate for gate, _, _ in blocks] == [order.explain, bk.explain] * 9
+            assert all(count == 150 for _, count, _ in blocks)
+            passed = sum(
+                (blocks[i][2] & blocks[i + 1][2]).bit_count() for i in range(0, len(blocks), 2)
+            )
             walks = {}
             for D, gate, result in calls:
-                walks.setdefault(id(D), []).append((gate, result))
-            assert len(walks) == 9 * 150
+                walks.setdefault(id(D), (D, []))[1].append((gate, result))
             sweeps = 0
-            for walk in walks.values():
+            for D, walk in walks.values():
                 gates = [gate for gate, _ in walk]
                 assert len(set(gates)) == len(gates)
-                if strong in gates:
-                    sweeps += 1
-                    before = walk[: gates.index(strong)]
-                    assert len(before) == 2 and all(result for _, result in before)
-            assert 0 < sweeps < len(walks) / 5
+                assert gates[0] == strong  # nothing before it runs per sample
+                assert order.holds(D) and bk.holds(D)
+                sweeps += 1
+            assert sweeps == passed
+            assert 0 < sweeps < 9 * 150 / 5
 
     def test_premise_runs_only_after_every_gate(self, monkeypatch):
         # Every cycle search goes through the driver, the premise's and the
@@ -791,6 +807,33 @@ class TestSearch:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_gated_violations_name_their_sample(self, monkeypatch):
+        # Claim 1.9 with its real gates and premise, and a stand-in
+        # conclusion that always violates: the screen builds only the
+        # samples that pass order and B_k, so each record must carry its
+        # sample's index through the screen, here across two blocks a cell.
+        def always(D, premise):
+            return verify._violation(f"stand-in on {len(premise)} vertices")
+
+        monkeypatch.setitem(verify._CONCLUSIONS, Theorem.T1_9, always)
+        config = SearchConfig(Theorem.T1_9, a_values=(4, 5), p_values=(0.5, 0.7), samples=600)
+        report = run_search(config)
+        hypotheses = partial(check_theorem_hypotheses, theorem=Theorem.T1_9)
+        expected = [
+            (a, p, i)
+            for a in config.a_values
+            for p in config.p_values
+            for i in range(config.samples)
+            if hypotheses(sample_digraph(config.seed, a, p, i)).satisfied
+        ]
+        assert any(i >= verify._BLOCK for _, _, i in expected)
+        assert [(v.a, v.p, v.sample_index) for v in report.violations] == expected
+        for v in report.violations:
+            D = sample_digraph(config.seed, v.a, v.p, v.sample_index)
+            assert v.claim == f"claim 1.9: stand-in on {2 * v.a - 2} vertices"
+            assert v.serialization == serialize(D)
+        assert len(expected) == report.hypothesis_satisfying
 
     def test_violation_path(self, monkeypatch, capsys, tmp_path):
         # No shipped claim ever fails, so a stand-in row with no gates lets
@@ -1099,9 +1142,9 @@ def test_claim_1_9_sweeps_each_component_once(monkeypatch):
     # certificate length share each sample's component memo, so no (sample,
     # start) component is swept twice.  A component sweep's source lies in
     # its allowed set, unlike the covering search's and the bypass test's
-    # sweeps.  Every sample stays alive, so no mask tuple's identity is
-    # reused; out- and in-masks are told apart by identity, since they can
-    # be equal.
+    # sweeps.  Every sample the screen builds stays alive, so no mask
+    # tuple's identity is reused; out- and in-masks are told apart by
+    # identity, since they can be equal.
     calls = []
     reach = digraph._reach
 
@@ -1117,12 +1160,10 @@ def test_claim_1_9_sweeps_each_component_once(monkeypatch):
     samples, satisfying = [], 0
     for a in (4, 5, 6):
         for p in (0.3, 0.5, 0.7):
-            block = verify._draw_block(a, p, verify._sample_seeds(16, a, p, 0, 200))
-            samples.extend(block)
-            satisfying += sum(
-                verify._eval_claim(row[1], conclude, D)[0]
-                for D in conditions._screen(row, block)
-            )
+            digits = verify._arc_digits(a, p, verify._sample_seeds(16, a, p, 0, 200))
+            survivors = [D for _, D in conditions._screen(row, a, digits, 200)]
+            samples.extend(survivors)
+            satisfying += sum(verify._eval_claim(row[1], conclude, D)[0] for D in survivors)
     assert satisfying > 30
     assert calls and len(calls) == len(set(calls))
 

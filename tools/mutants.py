@@ -10,10 +10,13 @@ temporary directory, applies the replacement there and runs
 
 from the repository root with that copy first on PYTHONPATH, so the
 checkout itself is never edited.  A failing suite kills the mutant; a
-passing one lets it survive.  A mutant listed as equivalent cannot change
-any answer (the table gives the reason), so it is expected to survive.
-Prints one line per mutant and a summary, and exits 1 if a mutant not
-listed as equivalent survives.
+passing one lets it survive.  A suite still running after TIMEOUT seconds
+(several times the unmutated suite's time) is stopped, and the mutant
+counts as killed and is printed as "timeout": a mutant that only makes a
+search slower cannot then hold the run for minutes.  A mutant listed as
+equivalent cannot change any answer (the table gives the reason), so it is
+expected to survive.  Prints one line per mutant and a summary, and exits
+1 if a mutant not listed as equivalent survives.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SUITE = ["-m", "pytest", "-q", "-x", "-m", "not acceptance", "-p", "no:cacheprovider"]
+TIMEOUT = 180  # seconds; the unmutated fast suite takes about 25 s
 
 
 class Mutant(NamedTuple):
@@ -121,6 +125,24 @@ MUTANTS = (
         "if False and (",
     ),
     Mutant(
+        "bk-block-low-at-2-minus-k",
+        "conditions.py",
+        "low.append(at_least[max(0, 3 - k)])",
+        "low.append(at_least[max(0, 2 - k)])",
+    ),
+    Mutant(
+        "bk-block-heads-on-one-side",
+        "conditions.py",
+        "    for head in range(n):\n        once = 0\n",
+        "    for head in range(a):\n        once = 0\n",
+    ),
+    Mutant(
+        "order-block-passes-every-size",
+        "conditions.py",
+        "(1 << count) - 1 if a >= min_side else 0",
+        "(1 << count) - 1",
+    ),
+    Mutant(
         "screen-drops-its-last-gate",
         "conditions.py",
         "    for clause in _search_row(row)[0]:\n",
@@ -161,18 +183,29 @@ def apply(mutant: Mutant, package: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run(mutant: Mutant) -> tuple[bool, float]:
-    """(killed, seconds) for one mutant, run on a temporary copy of src/."""
+def run(mutant: Mutant) -> tuple[str, float]:
+    """("killed", "timeout" or "survived", seconds) for one mutant, run on a
+    temporary copy of src/."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         apply(mutant, src / "bipancyclic")
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         started = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, *SUITE], cwd=ROOT, env=env, capture_output=True, text=True
-        )
-        return done.returncode != 0, time.perf_counter() - started
+        try:
+            done = subprocess.run(
+                [sys.executable, *SUITE],
+                cwd=ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            outcome = "timeout"
+        else:
+            outcome = "killed" if done.returncode != 0 else "survived"
+        return outcome, time.perf_counter() - started
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,11 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     survivors = []
     for mutant in chosen:
-        killed, seconds = run(mutant)
-        status = "killed" if killed else "survived"
+        outcome, seconds = run(mutant)
         note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
-        print(f"{status:8} {mutant.name} [{seconds:.0f}s]{note}", flush=True)
-        if not killed and not mutant.equivalent:
+        print(f"{outcome:8} {mutant.name} [{seconds:.0f}s]{note}", flush=True)
+        if outcome == "survived" and not mutant.equivalent:
             survivors.append(mutant.name)
     print(f"mutants: {len(chosen)}; surviving, not equivalent: {' '.join(survivors) or 'none'}")
     return 1 if survivors else 0
