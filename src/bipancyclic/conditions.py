@@ -13,10 +13,11 @@ most one premise clause, the cycle the conclusion starts from (claim 1.9's,
 lemma 3.4's), found on vertex indices.  The premise runs only when every
 gate held.  check_theorem_hypotheses walks the gates in report order and
 reports every failing one (_walk); the search screens a whole block of
-samples with the gates, cheapest and most selective first, and drops each
-sample at its first failure, which changes no count (_screen, _search_row).
-The order and B_k gates also decide a whole block at once from its arc
-digits (_bk_block), so the search builds only the samples that pass them.
+samples with the same gates and drops each sample at its first failure,
+which changes no count (_screen).  The order and B_k gates decide the
+block first, at once, from its arc digits (_bk_block), so the search
+builds only the samples that pass them; the other gates then run in the
+row's own order.
 """
 
 from __future__ import annotations
@@ -233,30 +234,24 @@ class _Clause(NamedTuple):
     """A hypothesis clause: a predicate plus a builder for its failure
     message, which runs only when the predicate fails.  A gate's predicate
     returns a bool; a premise's returns the index list of the cycle it
-    found, or None.  rank is a gate's place in the search's walk (see
-    _search_row); a premise always runs last and has none.  A gate may also
-    have a block form, which decides a whole block of samples from their
-    arc digits: block(a, digits, count) is a mask whose bit count - 1 - s
-    says whether sample s passes (see _bk_block)."""
+    found, or None.  A gate may also have a block form, which decides a
+    whole block of samples from their arc digits: block(a, digits, count)
+    is a mask whose bit count - 1 - s says whether sample s passes (see
+    _bk_block)."""
 
     holds: Callable[[BipartiteDigraph], object]
     explain: Callable[[BipartiteDigraph], str]
-    rank: int | None = None
     block: Callable[[int, bytearray, int], int] | None = None
 
 
 # A statement's hypotheses: its gates in report order, then its premise.
 _Row = tuple[tuple[_Clause, ...], _Clause | None]
 
-# The gates' ranks in the search's walk, cheapest and most selective first.
-_ORDER, _DEGREE, _CONNECTIVITY, _SHAPE, _TWO_SIDED_DEGREE = range(5)
-
 
 def _order(min_side: int) -> _Clause:
     return _Clause(
         lambda D: D.a >= min_side,
         lambda D: f"order: needs side size >= {min_side}, got {D.a}",
-        _ORDER,
         lambda a, digits, count: (1 << count) - 1 if a >= min_side else 0,
     )
 
@@ -271,7 +266,7 @@ def _bk(k: int) -> _Clause:
             f"{report.worst_degree} < {report.threshold}"
         )
 
-    return _Clause(lambda D: bk_holds(D, k), explain, _DEGREE, partial(_bk_block, k))
+    return _Clause(lambda D: bk_holds(D, k), explain, block=partial(_bk_block, k))
 
 
 def _explain_two_sided(D: BipartiteDigraph) -> str:
@@ -284,12 +279,8 @@ def _explain_two_sided(D: BipartiteDigraph) -> str:
     )
 
 
-_STRONG = _Clause(
-    Digraph.is_strong, lambda D: "connectivity: not strongly connected", _CONNECTIVITY
-)
-_TWO_SIDED = _Clause(
-    lambda D: check_two_sided_condition(D)[0], _explain_two_sided, _TWO_SIDED_DEGREE
-)
+_STRONG = _Clause(Digraph.is_strong, lambda D: "connectivity: not strongly connected")
+_TWO_SIDED = _Clause(lambda D: check_two_sided_condition(D)[0], _explain_two_sided)
 _PREMISE = _Clause(
     lambda D: _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2),
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
@@ -325,11 +316,12 @@ _BYPASS_PREMISE = _Clause(
 _NOT_DIRECTED_CYCLE = _Clause(
     lambda D: not D.is_directed_cycle(),
     lambda D: "shape: the digraph is a directed cycle",
-    _SHAPE,
 )
 
-# Each statement's hypotheses on a balanced bipartite input.  Lemma 3.3's
-# hypotheses hold per (cycle, vertex) unit, so its row is empty.
+# Each statement's hypotheses on a balanced bipartite input.  The gates are
+# in report order, which is also the order _screen runs those without a
+# block form in, so strong connectivity comes first (see _screen for why).
+# Lemma 3.3's hypotheses hold per (cycle, vertex) unit, so its row is empty.
 _CLAUSES: dict[Theorem, _Row] = {
     Theorem.T1_6: ((_STRONG, _order(1), _TWO_SIDED), None),
     Theorem.T1_7: ((_STRONG, _order(4), _bk(1)), None),
@@ -361,29 +353,6 @@ def _walk(D: BipartiteDigraph, row: _Row) -> tuple[list[_Clause], list[int] | No
     return failed, cycle
 
 
-def _search_row(row: _Row) -> _Row:
-    """The row as the search screens with it: its gates by rank, cheapest
-    and most selective first, then its premise.
-
-    The search asks only whether every gate holds, and each gate is a pure
-    predicate of the digraph, so the order it tests them in, and dropping a
-    sample at its first failure, cannot change that answer or any count;
-    only the time it takes.  check_theorem_hypotheses lists every failure,
-    so it keeps report order.  Per search-sparse sample (claim 1.9, a = 4..6,
-    p = .3/.5/.7, blocks of 200; Python 3.11 on a shared 2-core host): the
-    order test's block form costs about 0.01 us; B_0's block form 0.24,
-    0.33 and 0.44 us at a = 4, 5 and 6 (bk_holds, certify's path, 0.4-0.5
-    us), and B_0 rejects 95.6% of samples and B_1 99.3%, which are then
-    never built; strong connectivity takes 2.2 us per sample built (two
-    reachability sweeps unless a mask is empty) and rejects 12% of them;
-    the two-sided condition takes 4.7-4.9 us and passes 0.7%, so it goes
-    after strong connectivity, or claim 1.6 gets slower.  The shape test
-    runs on so few samples that its place does not matter.
-    """
-    gates, premise = row
-    return tuple(sorted(gates, key=lambda clause: clause.rank)), premise
-
-
 def _screen(
     row: _Row, a: int, digits: bytearray, count: int
 ) -> list[tuple[int, BipartiteDigraph]]:
@@ -391,14 +360,30 @@ def _screen(
     offset in the block, in order; digits are the block's arc digits
     (digraph._arc_digits).
 
-    The gates run in _search_row's order.  Those with a block form decide
-    the whole block at once, so only the samples that pass them are built
-    (_build_block), from their own runs of digits; each other gate then
-    runs once on each sample still left.  A sample leaves at the first gate
-    that rejects it, and no gate runs twice on it.  The premise is not run.
+    The search asks only whether every gate holds, and each gate is a pure
+    predicate of the digraph, so the order it tests them in, and dropping a
+    sample at its first failure, cannot change that answer or any count;
+    only the time it takes.  check_theorem_hypotheses lists every failure,
+    so it keeps report order.  The gates with a block form go first: they
+    decide the whole block at once, their masks ANDed in any order, so only
+    the samples that pass them are built (_build_block), from their own runs
+    of digits.  Each other gate then runs once on each sample still left, in
+    the row's order.  A sample leaves at the first gate that rejects it, and
+    no gate runs twice on it.  The premise is not run.
+
+    Per search-sparse sample (claim 1.9, a = 4..6, p = .3/.5/.7, blocks of
+    200; Python 3.11 on a shared 2-core host): the order test's block form
+    costs about 0.01 us; B_0's block form 0.24, 0.33 and 0.44 us at a = 4,
+    5 and 6 (bk_holds, certify's path, 0.4-0.5 us), and B_0 rejects 95.6%
+    of samples and B_1 99.3%, which are then never built; strong
+    connectivity takes 2.2 us per sample built (two reachability sweeps
+    unless a mask is empty) and rejects 12% of them; the two-sided
+    condition takes 4.7-4.9 us and passes 0.7%, so a row lists it after
+    strong connectivity, or claim 1.6 gets slower.  The shape test runs on
+    so few samples that its place does not matter.
     """
     mask, rest = (1 << count) - 1, []
-    for clause in _search_row(row)[0]:
+    for clause in row[0]:
         if clause.block is None:
             rest.append(clause.holds)
         elif mask:

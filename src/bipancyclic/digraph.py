@@ -441,21 +441,14 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
     part of the key the draws are coupled monotonically in p: for p <= p' at
     the same (a, seed), every arc drawn at p is drawn at p' too.
 
-    This is a block of one seed, built whole: ``_draw_block`` draws any
+    This is a block of one seed, built whole: ``_arc_digits`` draws any
     number of seeds under the same contract, and the search screens a
-    block's arc digits (``_arc_digits``) before it builds any sample from
-    them.  Raises BadParams for a side size or seed that is not an int, and
-    for a p that is not a number in [0, 1].
+    block's arc digits before it builds any sample from them
+    (``_build_block``).  Raises BadParams for a side size or seed that is
+    not an int, and for a p that is not a number in [0, 1].
     """
     _require_int(seed, "seed")
-    return _draw_block(a, p, [seed])[0]
-
-
-def _draw_block(a: int, p: float, seeds: Sequence[int]) -> list[BipartiteDigraph]:
-    """random_bipartite(a, p, seed) for each of one or more seeds, in order:
-    the block's arc digits (_arc_digits), every sample built from them
-    (_build_block)."""
-    return _build_block(a, _arc_digits(a, p, seeds), len(seeds))
+    return _build_block(a, _arc_digits(a, p, [seed]), 1)[0]
 
 
 def _arc_digits(a: int, p: float, seeds: Sequence[int]) -> bytearray:
@@ -495,7 +488,9 @@ def _arc_digits(a: int, p: float, seeds: Sequence[int]) -> bytearray:
 
 def _build_block(a: int, digits: bytearray, count: int) -> list[BipartiteDigraph]:
     """The count samples whose arc digits (as _arc_digits lays them out) are
-    digits, in order.
+    digits, in order; count must be at least 1.  int() rejects an empty
+    digit string, but no caller has one: a block draws at least one seed,
+    and _screen returns before it builds when no sample passes.
 
     Each arc slot's digits, one per sample, form one strided slice, which is
     written straight into the tail's out-field and the head's in-field of

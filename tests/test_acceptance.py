@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, one printed pass/fail line each.
+"""Acceptance gate: twelve criteria, one printed pass/fail line each.
 
 Each test computes its verdict, prints the one-line summary through the
 shared recorder (shown in the terminal summary section), and then asserts.
@@ -34,7 +34,9 @@ from bipancyclic import (
     serialize,
     verify_theorem,
 )
+from bipancyclic.conditions import _CLAUSES, _screen
 from bipancyclic.naive import naive_cycle_lengths, naive_cycle_lengths_dp
+from bipancyclic.verify import _BLOCK, _CONCLUSIONS, _eval_claim
 
 from _criteria import record
 from _families import check_family
@@ -345,4 +347,35 @@ def test_criterion_11_subset_dp_oracle():
         mismatches == 0,
         f"subset-DP oracle: {checked} spectra (general n 11-14, bipartite a <= 7), "
         f"{mismatches} mismatches ({time.perf_counter() - started:.0f}s)",
+    )
+
+
+def test_criterion_12_theorem_1_6_exhaustive():
+    # Every labelled balanced bipartite digraph with a <= 3, as the search
+    # meets it: each digit string of 2a^2 arc slots, screened by claim 1.6's
+    # row in blocks of at most _BLOCK, then its conclusion on each survivor.
+    # No other criterion runs claim 1.6's screen: strong connectivity, then
+    # the two-sided condition, on each sample built.
+    started = time.perf_counter()
+    row = _CLAUSES[Theorem.T1_6]
+    inputs, satisfying, violations = [], [], 0
+    for a in (1, 2, 3):
+        m, screened, found = 2 * a * a, 0, 0
+        for start in range(0, 1 << m, _BLOCK):
+            stop = min(start + _BLOCK, 1 << m)
+            digits = bytearray("".join(f"{i:0{m}b}" for i in range(start, stop)), "ascii")
+            screened += stop - start
+            for _, D in _screen(row, a, digits, stop - start):
+                units, claims = _eval_claim(row[1], _CONCLUSIONS[Theorem.T1_6], D)
+                found += units
+                violations += len(claims)
+        inputs.append(screened)
+        satisfying.append(found)
+    ok = inputs == [4, 256, 262_144] and satisfying == [1, 15, 1_798] and violations == 0
+    record(
+        12,
+        ok,
+        f"claim 1.6 exhaustive a <= 3: {inputs} inputs, {satisfying} "
+        f"hypothesis-satisfying, {violations} violations "
+        f"({time.perf_counter() - started:.1f}s)",
     )

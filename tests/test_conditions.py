@@ -26,7 +26,6 @@ from bipancyclic.conditions import (
     _bypassed_longest,
     _order,
     _screen,
-    _search_row,
     bk_holds,
 )
 from bipancyclic.cycles import _as_cycle
@@ -224,9 +223,13 @@ class TestHypotheses:
         assert rep.failures == ("cycle premise: no cycle of length 6",)
 
     def test_small_side(self):
+        # K_{3,3} is strong and meets B_1, so each row with an order-4 gate
+        # fails that gate alone
         D = complete_bipartite(3)
-        rep = check_theorem_hypotheses(D, Theorem.T1_10)
-        assert rep.failures == ("order: needs side size >= 4, got 3",)
+        rows = (Theorem.T1_7, Theorem.T1_8, Theorem.T1_9, Theorem.T1_10, Theorem.L3_2, Theorem.L3_4)
+        for theorem in rows:
+            rep = check_theorem_hypotheses(D, theorem)
+            assert rep.failures == ("order: needs side size >= 4, got 3",), theorem
         assert check_theorem_hypotheses(D, Theorem.T1_6).satisfied
 
     def test_not_bipartite(self):
@@ -313,9 +316,9 @@ def _screened(D, row):
 
 
 class TestSearchOrder:
-    """The search screens with each row's gates cheapest first; certify
-    lists the failures in report order.  Both must agree on whether the row
-    holds."""
+    """The search screens with each row's block-form gates first, on the
+    arc digits, then its other gates in the row's order; certify lists the
+    failures in report order.  Both must agree on whether the row holds."""
 
     @pytest.mark.parametrize(
         ("build", "failing"),
@@ -352,16 +355,24 @@ class TestSearchOrder:
             assert report.failures[0] == "connectivity: not strongly connected"
 
     def test_rows_keep_their_clauses(self):
-        # the search order permutes a row's gates and keeps its premise
+        # On an input that passes every gate, the screen runs each gate of
+        # the row once: the block forms first, then the rest in row order.
+        D = complete_bipartite(4)
         for row in _CLAUSES.values():
-            gates, premise = _search_row(row)
-            assert sorted(map(id, gates)) == sorted(map(id, row[0]))
-            assert premise is row[1]
+            calls, passed, _ = _screened(D, row)
+            gates = row[0]
+            assert passed and all(result for _, result in calls)
+            assert [clause for clause, _ in calls] == [
+                *(clause for clause in gates if clause.block is not None),
+                *(clause for clause in gates if clause.block is None),
+            ]
         # order, then B_k, then the reachability sweeps
         (strong, order, b0), _ = _CLAUSES[Theorem.T1_9]
-        assert _search_row(_CLAUSES[Theorem.T1_9])[0] == (order, b0, strong)
+        calls, _, _ = _screened(D, _CLAUSES[Theorem.T1_9])
+        assert [clause for clause, _ in calls] == [order, b0, strong]
         # the two-sided condition stays after strong connectivity
-        assert _search_row(_CLAUSES[Theorem.T1_6])[0][1:] == (_STRONG, _TWO_SIDED)
+        calls, _, _ = _screened(D, _CLAUSES[Theorem.T1_6])
+        assert [clause for clause, _ in calls][1:] == [_STRONG, _TWO_SIDED]
 
 
 class TestBypassPremise:

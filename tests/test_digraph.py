@@ -27,7 +27,7 @@ from bipancyclic import (
     sample_digraph,
     serialize,
 )
-from bipancyclic.digraph import _arc_digits, _build_block, _draw_block, _reach
+from bipancyclic.digraph import _arc_digits, _build_block, _reach
 from bipancyclic.errors import (
     BadParams,
     DuplicateArc,
@@ -41,6 +41,12 @@ from bipancyclic.naive import (
     naive_is_strong,
     naive_restricted_degree,
 )
+
+
+def _drawn(a, p, seeds):
+    """The search's block draw: every sample of seeds, built from the
+    block's arc digits."""
+    return _build_block(a, _arc_digits(a, p, seeds), len(seeds))
 
 
 @st.composite
@@ -120,7 +126,7 @@ class TestConstruction:
             ("order", lambda size: Digraph(size, [])),
             ("side size", lambda size: BipartiteDigraph(size, [])),
             ("side size", lambda size: random_bipartite(size, 1.0, 0)),
-            ("side size", lambda size: _draw_block(size, 1.0, [0, 1])),
+            ("side size", lambda size: _drawn(size, 1.0, [0, 1])),
             ("side size", directed_cycle),
             ("side size", complete_bipartite),
             ("cluster size", h_mm),
@@ -393,7 +399,7 @@ class TestRandomBipartite:
             random_bipartite(2, p, seed)
         if type(seed) is int:  # the search draws whole blocks of int seeds
             with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
-                _draw_block(2, p, [seed, seed + 1])
+                _drawn(2, p, [seed, seed + 1])
 
     def test_known_draw(self):
         # frozen stream: a change to the draws, their order or the threshold
@@ -430,7 +436,7 @@ class TestRandomBipartite:
         for a in [*range(1, 13), 17, 33]:
             for threshold in (0, 1, 255, 256, 257, 32768, 65280, 65535, 65536):
                 p = threshold / 65536
-                block = _draw_block(a, p, seeds)
+                block = _drawn(a, p, seeds)
                 assert len(block) == size
                 for i in checked:
                     want = _contract_draw(a, p, seeds[i])
@@ -441,7 +447,7 @@ class TestRandomBipartite:
     def test_block_matches_contract_past_machine_words(self, a):
         # 2a bits no longer fit a 32-bit (a = 17) or a 64-bit (a = 33) word
         seeds = [-5, 2**70, 11]
-        for D, seed in zip(_draw_block(a, 0.5, seeds), seeds):
+        for D, seed in zip(_drawn(a, 0.5, seeds), seeds):
             want = _contract_draw(a, 0.5, seed)
             assert D == want and D._in == want._in
 
@@ -454,7 +460,7 @@ class TestRandomBipartite:
             digits = _arc_digits(a, p, seeds)
             assert len(digits) == m * len(seeds) and set(digits) <= set(b"01")
             block = _build_block(a, digits, len(seeds))
-            assert block == _draw_block(a, p, seeds)
+            assert block == [random_bipartite(a, p, seed) for seed in seeds]
             for kept in ([0], [511], [3, 4, 200, 510], list(range(0, 512, 7))):
                 rows = bytearray().join(digits[i * m : i * m + m] for i in kept)
                 built = _build_block(a, rows, len(kept))

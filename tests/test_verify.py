@@ -706,7 +706,7 @@ class TestSearch:
             calls.clear()
             blocks.clear()
             assert run_search(config).render() == expected
-            order, bk = conditions._search_row(conditions._CLAUSES[config.target])[0][:2]
+            order, bk = [g for g in conditions._CLAUSES[config.target][0] if g.block]
             # one block per cell, each decided by order, then B_k, once
             assert [gate for gate, _, _ in blocks] == [order.explain, bk.explain] * 9
             assert all(count == 150 for _, count, _ in blocks)

@@ -145,8 +145,26 @@ MUTANTS = (
     Mutant(
         "screen-drops-its-last-gate",
         "conditions.py",
-        "    for clause in _search_row(row)[0]:\n",
-        "    for clause in _search_row(row)[0][:-1]:\n",
+        "    for clause in row[0]:\n",
+        "    for clause in row[0][:-1]:\n",
+    ),
+    Mutant(
+        "1.7-order-3",
+        "conditions.py",
+        "Theorem.T1_7: ((_STRONG, _order(4), _bk(1)), None),",
+        "Theorem.T1_7: ((_STRONG, _order(3), _bk(1)), None),",
+    ),
+    Mutant(
+        "3.2-order-3",
+        "conditions.py",
+        "Theorem.L3_2: ((_STRONG, _order(4), _bk(0), _NOT_DIRECTED_CYCLE), None),",
+        "Theorem.L3_2: ((_STRONG, _order(3), _bk(0), _NOT_DIRECTED_CYCLE), None),",
+    ),
+    Mutant(
+        "3.4-order-3",
+        "conditions.py",
+        "Theorem.L3_4: ((_STRONG, _order(4), _bk(0)), _BYPASS_PREMISE),",
+        "Theorem.L3_4: ((_STRONG, _order(3), _bk(0)), _BYPASS_PREMISE),",
     ),
     Mutant(
         "missed-premise-counts-as-satisfying",
