@@ -9,7 +9,7 @@ The statement catalog below numbers eight statements about balanced
 bipartite digraphs: claims 1.6-1.10 and the lemmas 3.2-3.4 their proofs use.
 The Theorem docstring states each in full.  A statement's hypotheses are a
 row of gate clauses (connectivity, order, degree condition, shape) plus at
-most one premise clause, the cycle the conclusion starts from (claim 1.9's,
+most one premise clause, the cycles the conclusion starts from (claim 1.9's,
 lemma 3.4's), found on vertex indices.  The premise runs only when every
 gate held.  check_theorem_hypotheses walks the gates in report order and
 reports every failing one (_walk); the search screens a whole block of
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 # find_cycle_of_length is not called here; bench/cliload.py's traced run
 # wraps the name in this module.
-from .cycles import _find_cycles, _longest_non_hamiltonian, find_cycle_of_length
+from .cycles import _find_cycles, _length_mask, _longest_non_hamiltonian, find_cycle_of_length
 from .digraph import BipartiteDigraph, Digraph, DominatingPair, _build_block, _reach, _require_int
 from .errors import BadParams
 
@@ -50,7 +50,9 @@ class Theorem(Enum):
     T1_8: if a >= 4 and B_1 holds, the digraph has a cycle of length 2a - 2
           or is a directed cycle.
     T1_9: if a >= 4, B_0 holds, and a cycle of length 2a - 2 exists, the
-          digraph has cycles of every even length 2..2a - 2.
+          digraph has cycles of every even length 2..2a - 2.  Its premise
+          walks for every even length 2..2a - 2 at once and hands the
+          witnesses it found to the certificate, which searches no more.
     T1_10: if a >= 4, B_1 holds, and the digraph is not a directed cycle, it
            has cycles of every even length 2..2a or is the same 8-vertex
            exception as in T1_7.
@@ -214,16 +216,21 @@ def check_two_sided_condition(D: BipartiteDigraph) -> tuple[bool, DominatingPair
     return True, None
 
 
+# What a premise clause finds: claim 1.9's witness of each even length
+# 2..2a - 2 that the input has, by length, or lemma 3.4's cycle, an index
+# list.
+_Found = dict[int, list[int]] | list[int]
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Which hypothesis clauses of a claim an input fails, if any."""
 
     theorem: Theorem
     failures: tuple[str, ...]
-    # The index list of the cycle a premise clause found (claim 1.9's, lemma
-    # 3.4's), so that the conclusion reuses it rather than searching for it
-    # again.
-    _premise: list[int] | None = field(default=None, repr=False, compare=False)
+    # What the premise clause found (_Found), so that the conclusion reuses
+    # it rather than searching again.
+    _premise: _Found | None = field(default=None, repr=False, compare=False)
 
     @property
     def satisfied(self) -> bool:
@@ -233,11 +240,10 @@ class HypothesisReport:
 class _Clause(NamedTuple):
     """A hypothesis clause: a predicate plus a builder for its failure
     message, which runs only when the predicate fails.  A gate's predicate
-    returns a bool; a premise's returns the index list of the cycle it
-    found, or None.  A gate may also have a block form, which decides a
-    whole block of samples from their arc digits: block(a, digits, count)
-    is a mask whose bit count - 1 - s says whether sample s passes (see
-    _bk_block)."""
+    returns a bool; a premise's returns what it found (_Found), or None.
+    A gate may also have a block form, which decides a whole block of
+    samples from their arc digits: block(a, digits, count) is a mask whose
+    bit count - 1 - s says whether sample s passes (see _bk_block)."""
 
     holds: Callable[[BipartiteDigraph], object]
     explain: Callable[[BipartiteDigraph], str]
@@ -281,8 +287,26 @@ def _explain_two_sided(D: BipartiteDigraph) -> str:
 
 _STRONG = _Clause(Digraph.is_strong, lambda D: "connectivity: not strongly connected")
 _TWO_SIDED = _Clause(lambda D: check_two_sided_condition(D)[0], _explain_two_sided)
+
+
+def _cycles_to_top(D: BipartiteDigraph) -> dict[int, list[int]] | None:
+    """Claim 1.9's premise: the lex-min cycle of each even length 2..2a - 2
+    that D has, by length, when a (2a - 2)-cycle is among them, else None.
+
+    One walk over the starts (_find_cycles) finds every length, each
+    witness the one a search for that length alone returns, so the premise
+    holds exactly when a one-length search would find a (2a - 2)-cycle, and
+    the certificate reads the other lengths from the same map.  The walk
+    needs the (2a - 2)-cycle, so it ends at the first start past which no
+    such cycle fits, as a one-length search does.
+    """
+    top = 2 * D.a - 2
+    found = _find_cycles(D, _length_mask(D, top), 1 << top)
+    return found if top in found else None
+
+
 _PREMISE = _Clause(
-    lambda D: _find_cycles(D, 1 << 2 * D.a - 2).get(2 * D.a - 2),
+    _cycles_to_top,
     lambda D: f"cycle premise: no cycle of length {2 * D.a - 2}",
 )
 
@@ -334,10 +358,10 @@ _CLAUSES: dict[Theorem, _Row] = {
 }
 
 
-def _walk(D: BipartiteDigraph, row: _Row) -> tuple[list[_Clause], list[int] | None]:
+def _walk(D: BipartiteDigraph, row: _Row) -> tuple[list[_Clause], _Found | None]:
     """Evaluate one row for check_theorem_hypotheses: every failing clause in
-    the row's order, and the premise's cycle as an index list (None when the
-    row has no premise or a clause failed).
+    the row's order, and what the premise found (None when the row has no
+    premise or a clause failed).
 
     The premise runs only when every gate held, so its search never meets an
     input the gates reject.  The search does not walk rows: it screens a
@@ -347,10 +371,10 @@ def _walk(D: BipartiteDigraph, row: _Row) -> tuple[list[_Clause], list[int] | No
     failed = [clause for clause in gates if not clause.holds(D)]
     if failed or premise is None:
         return failed, None
-    cycle = premise.holds(D)
-    if cycle is None:
+    found = premise.holds(D)
+    if found is None:
         failed.append(premise)
-    return failed, cycle
+    return failed, found
 
 
 def _screen(

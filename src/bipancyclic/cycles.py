@@ -10,11 +10,13 @@ length (rotations of the same cycle included).
 Every search takes a set of lengths (``_find_cycles``): a single length
 for ``find_cycle_of_length``, ``is_hamiltonian`` and
 ``longest_non_hamiltonian_cycle`` (which tries n - 1 down and stops at the
-first hit), every length at once for ``cycle_spectrum``.  Each start runs one depth-first walk for all of its
-pending lengths, as one loop over an explicit stack that keeps, per path
-vertex, the mask of successors not yet tried (``_lex_min_cycle_from``).
-Why each witness is lex-least and each absence exact (None, or a length
-left out, means no such cycle exists, never that a budget ran out):
+first hit), every length at once for ``cycle_spectrum``.  Each start runs
+one depth-first walk for all of its pending lengths, as one loop over an
+explicit stack that keeps, per path vertex, the mask of successors not yet
+tried (``_lex_min_cycle_from``).  Why each witness is lex-least and each
+absence exact (None, or a length left out, means no such cycle exists,
+never that a budget ran out; the one exception is a search told to end
+once a length it needs is out of reach, see ``_find_cycles``):
 
 - the walk visits paths from its start in preorder, which is lexicographic
   order, so the first closing of a given length is that length's least
@@ -363,7 +365,7 @@ def _close_two(out: Sequence[int], cand: int, last: int) -> list[int] | None:
     return None
 
 
-def _find_cycles(D: Digraph, lengths: int) -> dict[int, list[int]]:
+def _find_cycles(D: Digraph, lengths: int, need: int = 0) -> dict[int, list[int]]:
     """Lex-min cycle of each length in the mask ``lengths`` (bit m asks for
     length m) that D has, by length; an absent length is left out.
 
@@ -374,12 +376,18 @@ def _find_cycles(D: Digraph, lengths: int) -> dict[int, list[int]]:
     the later vertices (a cycle through start cannot leave it), read from
     D's component memo (``Digraph._core``): the component depends only on D
     and the start, so every length asked of one D sweeps it once.
+
+    need, a mask of lengths without which the caller has no use for the
+    map (claim 1.9's premise), ends the search at the first start where one
+    of them is still pending and no longer fits; the map may then miss
+    lengths that D has.
     """
     out, inn, n = D._out, D._in, D.n
     found: dict[int, list[int]] = {}
     for start in range(n - 1):
-        if not lengths & (2 << n - start) - 1:
-            break  # no pending length fits in the vertices from start on
+        fit = (2 << n - start) - 1  # the lengths that fit in the vertices from start on
+        if not lengths & fit or lengths & need & ~fit:
+            break
         core = D._core(start)
         fits = lengths & (2 << core.bit_count()) - 1
         if fits:

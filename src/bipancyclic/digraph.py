@@ -442,10 +442,12 @@ def random_bipartite(a: int, p: float, seed: int) -> BipartiteDigraph:
     the same (a, seed), every arc drawn at p is drawn at p' too.
 
     This is a block of one seed, built whole: ``_arc_digits`` draws any
-    number of seeds under the same contract, and the search screens a
-    block's arc digits before it builds any sample from them
-    (``_build_block``).  Raises BadParams for a side size or seed that is
-    not an int, and for a p that is not a number in [0, 1].
+    number of seeds under the same contract, the search derives a block's
+    digests from its sample indices in one pass and thresholds them the
+    same way (``_threshold_digits``), and it screens a block's arc digits
+    before it builds any sample from them (``_build_block``).  Raises
+    BadParams for a side size or seed that is not an int, and for a p that
+    is not a number in [0, 1].
     """
     _require_int(seed, "seed")
     return _build_block(a, _arc_digits(a, p, [seed]), 1)[0]
@@ -456,14 +458,27 @@ def _arc_digits(a: int, p: float, seeds: Sequence[int]) -> bytearray:
     in random_bipartite(a, p, seed): each sample's 2a^2 digits in canonical
     slot order, samples end to end in seed order.
 
-    Every step after hashing runs once over the whole block: the samples'
-    draws and digits sit end to end in a few byte strings and big ints.
+    The seeds' digests are joined and thresholded once (_threshold_digits).
     Raises BadParams as random_bipartite does.
     """
     _require_int(a, "side size", 1)
     _require_probability(p)
-    m, count = 2 * a * a, len(seeds)  # arc slots per sample, samples
-    digests = b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(2 * m) for seed in seeds)
+    size = 4 * a * a  # draw bytes per sample
+    return _threshold_digits(
+        p, b"".join(hashlib.shake_256(f"{seed}|{a}".encode()).digest(size) for seed in seeds)
+    )
+
+
+def _threshold_digits(p: float, digests: bytes) -> bytearray:
+    """The arc digits of the samples whose draws are digests, end to end:
+    each sample's first 4a^2 shake_256 bytes, as random_bipartite reads
+    them.  One digit per 16-bit draw, in order, "1" iff the draw is below
+    round(p * 65536).
+
+    Every step runs once over the whole block: the samples' draws and
+    digits sit end to end in a few byte strings and big ints.  p is not
+    checked here; the callers have checked it.
+    """
     # Slot k holds an arc iff U_k < T, where U_k = 256 * hi + lo is its draw
     # and T = 256 * top + bottom the threshold, that is iff hi < top, or
     # hi == top and lo < bottom.  Each test is a byte table mapping straight
@@ -482,7 +497,7 @@ def _arc_digits(a: int, p: float, seeds: Sequence[int]) -> bytearray:
             int.from_bytes(his.translate(below_top), "big")
             | int.from_bytes(his.translate(at_top), "big")
             & int.from_bytes(los.translate(below_bottom), "big")
-        ).to_bytes(m * count, "big")
+        ).to_bytes(len(his), "big")
     )
 
 

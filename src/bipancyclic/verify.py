@@ -42,6 +42,7 @@ from .conditions import (
     Theorem,
     _CLAUSES,
     _Clause,
+    _Found,
     _screen,
     check_theorem_hypotheses,
 )
@@ -59,10 +60,10 @@ from .digraph import (
     BipartiteDigraph,
     Digraph,
     Vertex,
-    _arc_digits,
     _bits,
     _require_int,
     _require_probability,
+    _threshold_digits,
     random_bipartite,
     serialize,
 )
@@ -213,17 +214,19 @@ def _d8_or_violation(D: BipartiteDigraph, claim: str) -> Conclusion:
     return _violation(claim)
 
 
-def _certificate(D: BipartiteDigraph, top: int, top_cycle: list[int] | None = None) -> Conclusion:
+def _certificate(
+    D: BipartiteDigraph, top: int, found: dict[int, list[int]] | None = None
+) -> Conclusion:
     """Witness every even length 2..top or report the least missing one.
 
-    top_cycle, when given, is the top length's witness, already found, and
-    the top length is not searched again.  The other lengths are searched
-    in one pass over the starts (``_find_cycles``), each witness the same
-    lex-min cycle a search for that length alone returns.
+    found, when given, is the witness of each even length 2..top that D
+    has, by length, already found (claim 1.9's premise), and nothing is
+    searched.  Else every length is searched in one pass over the starts
+    (``_find_cycles``), each witness the same lex-min cycle a search for
+    that length alone returns.
     """
-    found = _find_cycles(D, _length_mask(D, top if top_cycle is None else top - 2))
-    if top_cycle is not None:
-        found[top] = top_cycle
+    if found is None:
+        found = _find_cycles(D, _length_mask(D, top))
     for m in range(2, top + 1, 2):
         if m not in found:
             return _violation(f"no cycle of length {m} (even lengths 2..{top} claimed)")
@@ -289,11 +292,11 @@ def _conclude_3_4(D: BipartiteDigraph, cycle: list[int]) -> Conclusion:
 
 
 # Each statement's conclusion routine, run only on inputs that meet its
-# hypotheses, with the premise cycle those found (1.9's, 3.4's, an index
-# list) or None; certify and the search share it.  It answers on vertex
-# indices (see Conclusion).  Lemma 3.3 has none: its unit is not a digraph
-# (see _eval_l3_3).
-_Conclude = Callable[[BipartiteDigraph, list[int] | None], Conclusion]
+# hypotheses, with what the premise found (conditions._Found) or None;
+# certify and the search share it.  It answers on vertex indices (see
+# Conclusion).  Lemma 3.3 has none: its unit is not a digraph (see
+# _eval_l3_3).
+_Conclude = Callable[[BipartiteDigraph, _Found | None], Conclusion]
 _CONCLUSIONS: dict[Theorem, _Conclude] = {
     Theorem.T1_6: lambda D, _: _conclude_1_6(D),
     Theorem.T1_7: lambda D, _: _conclude_1_7(D),
@@ -524,35 +527,23 @@ class SearchReport:
         }
 
 
-def _sample_seeds(seed: int, a: int, p: float, start: int, stop: int) -> list[int]:
-    """sample_seed of each index in [start, stop) of one cell.
-
-    The key's prefix is formatted and hashed once; each index then costs a
-    copy of that hash state.  p enters as float(p), the value the command
-    line parses from a repro command's ``--p``, so an int p keys the same
-    seeds as its float.
-    """
-    prefix = hashlib.sha256(f"{seed}|{a}|{float(p)!r}|".encode())
-    seeds = []
-    for index in range(start, stop):
-        key = prefix.copy()
-        key.update(str(index).encode())
-        seeds.append(int.from_bytes(key.digest()[:8], "big"))
-    return seeds
-
-
 def sample_seed(seed: int, a: int, p: float, index: int) -> int:
     """The per-sample RNG seed; pure, platform-stable.
 
-    Raises BadParams unless seed is an int, a an int >= 1, p a number in
-    [0, 1] and index an int >= 0: any other value would key a seed that no
-    search draws, or the seed of a different sample.
+    p enters the key as float(p), the value the command line parses from a
+    repro command's ``--p``, so an int p keys the same seed as its float.
+    This is the contract's one-index reference; the search derives a whole
+    block's seeds inline (_block_digits).  Raises BadParams unless seed is an
+    int, a an int >= 1, p a number in [0, 1] and index an int >= 0: any
+    other value would key a seed that no search draws, or the seed of a
+    different sample.
     """
     _require_int(seed, "seed")
     _require_int(a, "side size", 1)
     _require_probability(p)
     _require_int(index, "sample index", 0)
-    return _sample_seeds(seed, a, p, index, index + 1)[0]
+    key = f"{seed}|{a}|{float(p)!r}|{index}".encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
 def sample_digraph(seed: int, a: int, p: float, index: int) -> BipartiteDigraph:
@@ -667,6 +658,27 @@ def _eval_l3_3(D: BipartiteDigraph) -> tuple[int, list[str]]:
 _BLOCK = 512  # samples per worker task
 
 
+def _block_digits(seed: int, a: int, p: float, start: int, stop: int) -> bytearray:
+    """The arc digits (digraph._arc_digits) of sample indices [start, stop)
+    of one cell: the digits of sample_seed(seed, a, p, i) for each index i.
+
+    One loop takes each index from key to digest: the sha256 key is a copy
+    of the hash state of the cell's prefix, formatted and hashed once, plus
+    the index; its first 8 bytes are the sample's seed; the seed's
+    shake_256 digest gives its draws, as random_bipartite reads them.  The
+    joined digests are thresholded once for the whole block.
+    """
+    prefix = hashlib.sha256(f"{seed}|{a}|{float(p)!r}|".encode())
+    copy, shake, size = prefix.copy, hashlib.shake_256, 4 * a * a
+    digests = []
+    append = digests.append
+    for index in range(start, stop):
+        key = copy()
+        key.update(b"%d" % index)
+        append(shake(b"%d|%d" % (int.from_bytes(key.digest()[:8], "big"), a)).digest(size))
+    return _threshold_digits(p, b"".join(digests))
+
+
 def _run_block(
     target: Theorem, a: int, p: float, seed: int, start: int, stop: int
 ) -> tuple[int, list[ViolationRecord]]:
@@ -674,15 +686,15 @@ def _run_block(
     satisfying count and the violation records, picklable for workers.
 
     Sample i is the digraph sample_digraph(seed, a, p, i) returns.  The
-    block's arc digits are drawn in one pass; a claim's gates screen the
-    whole block from them (_screen), so only the samples that pass the order
-    and B_k gates are built, a rejected sample costs no digraph, and only
-    the survivors reach _eval_claim, each with its offset in the block.
-    Lemma 3.3's row has no gates, so every sample is built for it.
+    block's arc digits come from one pass over its indices, each taken from
+    key to seed to digest (_block_digits); a claim's gates screen the whole
+    block from them (_screen), so only the samples that pass the order and
+    B_k gates are built, a rejected sample costs no digraph, and only the
+    survivors reach _eval_claim, each with its offset in the block.  Lemma
+    3.3's row has no gates, so every sample is built for it.
     """
-    seeds = _sample_seeds(seed, a, p, start, stop)
     row = _CLAUSES[target]
-    survivors = _screen(row, a, _arc_digits(a, p, seeds), len(seeds))
+    survivors = _screen(row, a, _block_digits(seed, a, p, start, stop), stop - start)
     if target is Theorem.L3_3:
         evaluate = _eval_l3_3
     else:

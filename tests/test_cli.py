@@ -16,11 +16,14 @@ from bipancyclic import (
     SearchConfig,
     Theorem,
     TheoremVerdict,
+    check_bk,
     check_theorem_hypotheses,
     complete_bipartite,
+    cycle_spectrum,
     d8,
     directed_cycle,
     h_2m,
+    parse,
     serialize,
 )
 from bipancyclic import cli
@@ -253,6 +256,11 @@ class TestCertify:
 # each, so the order, connectivity and degree clauses all fail at once.
 NOT_STRONG_A3 = BipartiteDigraph(3, [("x0", "y0"), ("x1", "y0")])
 
+# One of the 14 labelled a = 4 digraphs that are strong, meet B_0, are not a
+# directed cycle and have no 6-cycle: claim 1.9's gates hold and its premise
+# fails.  Its only cycle lengths are 2 and 4.
+NO_SIX_CYCLE_A4 = parse((GOLDEN / "b0-no-6-cycle-a4.txt").read_text())
+
 CERTIFY_GOLDENS = [
     # (golden stem, claim, input, exit code)
     ("1.6-complete-bipartite-4", "1.6", complete_bipartite(4), 0),
@@ -263,6 +271,10 @@ CERTIFY_GOLDENS = [
     ("1.10-d8", "1.10", d8(), 0),
     ("1.8-not-strong-a3", "1.8", NOT_STRONG_A3, 1),
     ("1.9-not-strong-a3", "1.9", NOT_STRONG_A3, 1),
+    ("1.9-complete-bipartite-4", "1.9", complete_bipartite(4), 0),
+    ("1.9-b0-no-6-cycle-a4", "1.9", NO_SIX_CYCLE_A4, 1),  # only the premise fails
+    ("3.2-b0-no-6-cycle-a4", "3.2", NO_SIX_CYCLE_A4, 0),
+    ("3.4-b0-no-6-cycle-a4", "3.4", NO_SIX_CYCLE_A4, 1),  # a 4-cycle has no gap-1 bypass
     ("3.2-d8", "3.2", d8(), 0),
     ("3.4-complete-bipartite-4", "3.4", complete_bipartite(4), 0),
     ("3.4-d8", "3.4", d8(), 1),  # only the bypass premise fails
@@ -296,6 +308,12 @@ class TestCertifyGoldens:
             rc, out, _ = run_cli(capsys, "certify", "--theorem", claim, str(path), *extra)
             assert rc == code
             assert out == (GOLDEN / f"certify-{stem}{suffix}.txt").read_text()
+
+    def test_no_six_cycle_input_is_what_it_says(self):
+        D = NO_SIX_CYCLE_A4
+        assert D.a == 4 and D.is_strong() and not D.is_directed_cycle()
+        assert check_bk(D, 0).holds
+        assert cycle_spectrum(D).lengths() == (2, 4)
 
     def test_violation_matches_golden(self, capsys, monkeypatch, d8_file):
         verdict = _violation_verdict()

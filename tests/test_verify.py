@@ -205,8 +205,8 @@ class TestVerdicts:
         # 1.9's certificate, claim 1.7 and claim 1.10 must each refuse it.
         ring = ["x0", "y0", "x1", "y1", "x2", "y2"]
         D = BipartiteDigraph(4, list(zip(ring, ring[1:] + ring[:1])))
-        premise = cycles._find_cycles(D, 1 << 6)[6]
-        assert [str(v) for v in cycles._as_cycle(D, premise).vertices] == ring
+        premise = conditions._PREMISE.holds(D)  # the 6-cycle, and no shorter one
+        assert [str(v) for v in cycles._as_cycle(D, premise[6]).vertices] == ring
         outs = [
             verify._certificate(D, 6, premise),
             verify._conclude_1_7(D),
@@ -423,10 +423,12 @@ class TestSampling:
             key = f"{seed}|5|{p!r}|{i}".encode()
             return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
-        # starts below, at and past the first block boundary
+        # starts below, at and past the first block boundary: the search's
+        # one-pass block draw takes each index through sample_seed's key
         for start, stop in [(0, 3), (509, 515), (512, 514), (1020, 1030)]:
-            seeds = verify._sample_seeds(seed, 5, p, start, stop)
-            assert seeds == [sample_seed(seed, 5, p, i) for i in range(start, stop)]
+            seeds = [sample_seed(seed, 5, p, i) for i in range(start, stop)]
+            block = verify._block_digits(seed, 5, p, start, stop)
+            assert block == digraph._arc_digits(5, p, seeds)
             assert seeds == [contract(i) for i in range(start, stop)]
 
     def test_repro_command_redraws_an_int_p_sample(self):
@@ -494,6 +496,53 @@ class TestSampling:
         assert serial.hypothesis_satisfying > 0
         assert serial.render() == pooled.render()
         assert serial.to_json() == pooled.to_json()
+
+
+class TestBlockDraw:
+    """The search's one-pass block draw, index to seed to digest to digits,
+    against the one-index contract (sample_seed, then random_bipartite)."""
+
+    # (config seed, a, p, start, stop): a whole first block, blocks that
+    # start at 512, a short tail block, int p at 0 and 1, and the smallest
+    # and largest side sizes the search accepts
+    BLOCKS = [
+        (0, 4, 0.5, 0, 512),
+        (7, 5, 0.3, 512, 1024),
+        (-2, 6, 0.7, 1024, 1031),
+        (3, 4, 0, 512, 600),
+        (3, 5, 1, 0, 40),
+        (11, 1, 0.5, 512, 900),
+        (5, 12, 0.9, 512, 530),
+    ]
+
+    @pytest.mark.parametrize("seed, a, p, start, stop", BLOCKS)
+    def test_block_digits_match_per_index_draws(self, seed, a, p, start, stop):
+        seeds = [sample_seed(seed, a, p, i) for i in range(start, stop)]
+        digits = verify._block_digits(seed, a, p, start, stop)
+        assert digits == digraph._arc_digits(a, p, seeds)
+
+    @pytest.mark.parametrize("seed, a, p, start, stop", BLOCKS)
+    def test_screen_builds_each_sample_as_drawn(self, monkeypatch, seed, a, p, start, stop):
+        built = []
+        build = conditions._build_block
+
+        def recording(a, digits, count):
+            block = build(a, digits, count)
+            built.extend(block)
+            return block
+
+        monkeypatch.setattr(conditions, "_build_block", recording)
+        drawn = [sample_digraph(seed, a, p, i) for i in range(start, stop)]
+        digits = verify._block_digits(seed, a, p, start, stop)
+        for row in [((), None), *conditions._CLAUSES.values()]:
+            built.clear()
+            blocks = [clause for clause in row[0] if clause.block is not None]
+            survivors = conditions._screen(row, a, digits, stop - start)
+            # built: exactly the samples that pass the order and B_k gates
+            want = [D for D in drawn if all(clause.holds(D) for clause in blocks)]
+            assert built == want and [D._in for D in built] == [D._in for D in want]
+            for offset, D in survivors:  # drawn[offset] is sample start + offset
+                assert D == drawn[offset] and D._in == drawn[offset]._in
 
 
 class TestSearch:
@@ -626,19 +675,20 @@ class TestSearch:
 
     @pytest.mark.parametrize("theorem", CERTIFIABLE)
     def test_search_and_certify_share_claim_text(self, monkeypatch, theorem):
-        # With the index engine verify reaches (directly, and through the
-        # longest-cycle scan) missing a length, the search reports each
-        # violation with the claim text certify gives on the same sample.
+        # With the index engine the premises and conclusions reach
+        # (directly, and through the longest-cycle scan) missing a length,
+        # the search reports each violation with the claim text certify
+        # gives on the same sample.
         search = cycles._find_cycles
 
-        def missing(D, lengths):
-            found = search(D, lengths)
+        def missing(D, lengths, need=0):
+            found = search(D, lengths, need)
             for m in self.MISSED[theorem](D.a):
                 found.pop(m, None)
             return found
 
-        monkeypatch.setattr(verify, "_find_cycles", missing)
-        monkeypatch.setattr(cycles, "_find_cycles", missing)
+        for module in (conditions, cycles, verify):
+            monkeypatch.setattr(module, "_find_cycles", missing)
         config = SearchConfig(theorem, a_values=(4, 5), p_values=(0.7, 0.9), samples=40, seed=3)
         report = run_search(config)
         assert len(report.violations) == report.hypothesis_satisfying > 0
@@ -727,14 +777,14 @@ class TestSearch:
             assert 0 < sweeps < 9 * 150 / 5
 
     def test_premise_runs_only_after_every_gate(self, monkeypatch):
-        # Every cycle search goes through the driver, the premise's and the
-        # certificate's alike.
+        # Every cycle search goes through _find_cycles; claim 1.9's premise
+        # is the only one, and the certificate reads what it found.
         calls = []
         search = cycles._find_cycles
 
-        def counting(D, lengths):
+        def counting(D, lengths, need=0):
             calls.append(tuple(m for m in range(lengths.bit_length()) if lengths >> m & 1))
-            return search(D, lengths)
+            return search(D, lengths, need)
 
         for module in (cycles, conditions, verify):
             monkeypatch.setattr(module, "_find_cycles", counting)
@@ -744,7 +794,21 @@ class TestSearch:
         assert len(verdict.hypotheses.failures) == 3
         assert calls == []
         verify_theorem(d8(), Theorem.T1_9)  # the gates hold: one premise search
-        assert calls == [(6,), (2, 4)]  # the certificate reuses the premise cycle
+        assert calls == [(2, 4, 6)]  # for every length the certificate needs
+
+    def test_premise_ends_where_its_cycle_no_longer_fits(self):
+        # A directed cycle passes claim 1.9's gates and has no cycle shorter
+        # than 2a, so every shorter length stays pending; the premise still
+        # ends after start 2, past which no (2a - 2)-cycle fits, as a search
+        # for that length alone does.
+        for a in (4, 8, 12):
+            D = parse(serialize(directed_cycle(a)))
+            failures = verify_theorem(D, Theorem.T1_9).hypotheses.failures
+            assert failures == (f"cycle premise: no cycle of length {2 * a - 2}",)
+            assert sorted(D._cores) == [0, 1, 2]
+            alone = parse(serialize(directed_cycle(a)))
+            assert cycles._find_cycles(alone, 1 << 2 * a - 2) == {}
+            assert sorted(alone._cores) == [0, 1, 2]
 
     def test_workers_clamped_before_pool_starts(self, monkeypatch):
         pool = _inline_pool(monkeypatch)
@@ -813,8 +877,8 @@ class TestSearch:
         # conclusion that always violates: the screen builds only the
         # samples that pass order and B_k, so each record must carry its
         # sample's index through the screen, here across two blocks a cell.
-        def always(D, premise):
-            return verify._violation(f"stand-in on {len(premise)} vertices")
+        def always(D, premise):  # premise: the witnesses by length
+            return verify._violation(f"stand-in on {len(premise[2 * D.a - 2])} vertices")
 
         monkeypatch.setitem(verify._CONCLUSIONS, Theorem.T1_9, always)
         config = SearchConfig(Theorem.T1_9, a_values=(4, 5), p_values=(0.5, 0.7), samples=600)
@@ -916,30 +980,29 @@ class TestSearch:
         assert pooled.render() == report.render()
 
     def test_claim_1_9_reuses_its_premise_cycle(self, monkeypatch):
-        # the premise's (2a - 2)-cycle is the certificate's top witness, found
-        # once: by a one-length premise search (the conditions module's call
-        # of the driver), while the certificate's one search (verify's call)
-        # asks for every even length below it
+        # the premise's one search (the conditions module's call of
+        # _find_cycles) asks for every even length 2..2a - 2, and the
+        # certificate reads its witnesses from what the premise found:
+        # verify calls _find_cycles for claim 1.9 no more
         calls = {"conditions": [], "verify": []}
         search = cycles._find_cycles
         for module in (conditions, verify):
-            def counted(D, lengths, key=module.__name__.rsplit(".", 1)[1]):
+            def counted(D, lengths, need=0, key=module.__name__.rsplit(".", 1)[1]):
                 calls[key].append((D.a, lengths))
-                return search(D, lengths)
+                return search(D, lengths, need)
 
             monkeypatch.setattr(module, "_find_cycles", counted)
         report = run_search(SearchConfig(Theorem.T1_9, samples=200, seed=1))
         assert report.hypothesis_satisfying == 69
-        assert len(calls["conditions"]) == len(calls["verify"]) == 69
-        assert all(lengths == 1 << 2 * a - 2 for a, lengths in calls["conditions"])
+        assert len(calls["conditions"]) == 69 and calls["verify"] == []
         assert all(
-            lengths == sum(1 << m for m in range(2, 2 * a - 2, 2))
-            for a, lengths in calls["verify"]
+            lengths == sum(1 << m for m in range(2, 2 * a - 1, 2))
+            for a, lengths in calls["conditions"]
         )
         calls.update(conditions=[], verify=[])
         verdict = verify_theorem(complete_bipartite(4), Theorem.T1_9)
         assert verdict.conclusion.lengths() == (2, 4, 6)
-        assert calls == {"conditions": [(4, 1 << 6)], "verify": [(4, 1 << 2 | 1 << 4)]}
+        assert calls == {"conditions": [(4, 1 << 2 | 1 << 4 | 1 << 6)], "verify": []}
 
     def test_lemma_targets_run_clean(self):
         for target in (Theorem.L3_2, Theorem.L3_3, Theorem.L3_4):
@@ -1160,7 +1223,7 @@ def test_claim_1_9_sweeps_each_component_once(monkeypatch):
     samples, satisfying = [], 0
     for a in (4, 5, 6):
         for p in (0.3, 0.5, 0.7):
-            digits = verify._arc_digits(a, p, verify._sample_seeds(16, a, p, 0, 200))
+            digits = digraph._arc_digits(a, p, [sample_seed(16, a, p, i) for i in range(200)])
             survivors = [D for _, D in conditions._screen(row, a, digits, 200)]
             samples.extend(survivors)
             satisfying += sum(verify._eval_claim(row[1], conclude, D)[0] for D in survivors)

@@ -173,6 +173,24 @@ MUTANTS = (
         "        if found is None:\n            return 1, []\n",
     ),
     Mutant(
+        "1.9-premise-one-rung-short",
+        "conditions.py",
+        "found = _find_cycles(D, _length_mask(D, top), 1 << top)",
+        "found = _find_cycles(D, _length_mask(D, top - 2), 1 << top)",
+    ),
+    Mutant(
+        "premise-walks-past-its-cycle",
+        "cycles.py",
+        "if not lengths & fit or lengths & need & ~fit:",
+        "if not lengths & fit:",
+    ),
+    Mutant(
+        "block-key-index-off-by-one",
+        "verify.py",
+        'key.update(b"%d" % index)',
+        'key.update(b"%d" % (index + 1))',
+    ),
+    Mutant(
         "longest-scan-goes-on-after-a-hit",
         "cycles.py",
         "    for m in range(D.n - step, 1, -step):\n"
